@@ -17,9 +17,10 @@
 //
 // Load also degrades fidelity before it degrades availability: a mode
 // ladder steps the pipeline down from full MUSIC to the ESPRIT fast path
-// to a coarser MUSIC grid as queue sojourn crosses thresholds derived from
-// -admit-target, and steps back up under hysteresis. Every fix carries the
-// mode it was computed in.
+// (and on to the coarse rung, which today runs the fast path too) as
+// queue sojourn crosses thresholds derived from -admit-target, and steps
+// back up under hysteresis. Every fix carries the mode it was computed
+// in.
 //
 // Per-AP circuit breakers (-breaker-*) quarantine misbehaving APs: drift
 // breaches, per-burst quality collapses, non-finite CSI streams, and
@@ -276,7 +277,7 @@ func main() {
 	admitLogEvery := flag.Duration("admit-log-every", 5*time.Second,
 		"summarize shed bursts in the log at most this often")
 	modes := flag.Int("modes", 3,
-		"degradation ladder depth: 1 full MUSIC only, 2 adds the ESPRIT fast path, 3 adds the coarse grid")
+		"degradation ladder depth: 1 full MUSIC only, 2 adds the ESPRIT fast path, 3 adds the coarse rung (same estimator as the fast path)")
 	breakerWindow := flag.Duration("breaker-window", 30*time.Second,
 		"failure window for tripping an AP's circuit breaker")
 	breakerFailures := flag.Int("breaker-failures", 8,

@@ -16,7 +16,8 @@ const (
 	ModeFull Mode = iota
 	// ModeFastPath: ESPRIT-first fast path, MUSIC only as fallback.
 	ModeFastPath
-	// ModeCoarse: fast path plus a coarser MUSIC grid for the fallbacks.
+	// ModeCoarse: the deepest rung. It runs what ModeFastPath runs until
+	// a cheaper estimate with a measured accuracy cost is chosen for it.
 	ModeCoarse
 
 	numModes
@@ -52,7 +53,7 @@ type LadderConfig struct {
 }
 
 // DefaultLadderConfig derives thresholds from the queue's sojourn target:
-// degrade to the fast path at 2× target, to the coarse grid at 6×, and
+// degrade to the fast path at 2× target, to the coarse rung at 6×, and
 // recover (after HoldGood consecutive good bursts) below target/2.
 func DefaultLadderConfig(target time.Duration) LadderConfig {
 	return LadderConfig{
@@ -87,7 +88,7 @@ func NewLadder(reg *obs.Registry, cfg LadderConfig) *Ladder {
 	l := &Ladder{cfg: cfg}
 	if reg != nil {
 		reg.GaugeFunc("spotfi_admit_mode",
-			"Active degradation mode: 0 full MUSIC, 1 ESPRIT fast path, 2 coarse grid.",
+			"Active degradation mode: 0 full MUSIC, 1 ESPRIT fast path, 2 coarse.",
 			nil,
 			func() float64 { return float64(l.Current()) })
 	}

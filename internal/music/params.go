@@ -39,11 +39,6 @@ type Params struct {
 	// returned peaks.
 	MaxPaths int
 
-	// CoarseGridFactor controls the coarse-to-fine sweep: the estimator
-	// first evaluates every CoarseGridFactor-th grid point on both axes,
-	// then densely re-sweeps windows around the surviving coarse maxima.
-	// 1 forces the classic dense sweep; 0 selects the default (4).
-	CoarseGridFactor int
 	// DedupeAoARad and DedupeToFS are the physical merge radii for
 	// near-duplicate spectrum peaks: a peak within both radii of a
 	// stronger one is dropped. Zero selects 1.5× the corresponding grid
@@ -52,10 +47,6 @@ type Params struct {
 	DedupeAoARad float64
 	DedupeToFS   float64
 }
-
-// DefaultCoarseGridFactor is the coarse-to-fine decimation used when
-// CoarseGridFactor is 0.
-const DefaultCoarseGridFactor = 4
 
 // DefaultParams returns the estimator configuration matching the paper's
 // prototype: 2×15 smoothing window, 1° AoA grid, 2 ns ToF grid over
@@ -73,7 +64,6 @@ func DefaultParams() Params {
 		ToFMaxS:             200e-9,
 		EigenThreshold:      0.015,
 		MaxPaths:            5,
-		CoarseGridFactor:    DefaultCoarseGridFactor,
 		DedupeAoARad:        1.5 * math.Pi / 180,
 		DedupeToFS:          3e-9,
 	}
@@ -108,23 +98,10 @@ func (p Params) Validate() error {
 	if p.MaxPaths < 1 {
 		return fmt.Errorf("music: MaxPaths must be ≥ 1")
 	}
-	if p.CoarseGridFactor < 0 {
-		return fmt.Errorf("music: CoarseGridFactor %d must be ≥ 0", p.CoarseGridFactor)
-	}
 	if p.DedupeAoARad < 0 || p.DedupeToFS < 0 {
 		return fmt.Errorf("music: dedupe radii must be ≥ 0")
 	}
 	return nil
-}
-
-// coarseFactor resolves CoarseGridFactor: 0 means the default.
-//
-//spotfi:noalloc
-func (p Params) coarseFactor() int {
-	if p.CoarseGridFactor == 0 {
-		return DefaultCoarseGridFactor
-	}
-	return p.CoarseGridFactor
 }
 
 // dedupeRadii resolves the peak-merge radii, falling back to 1.5× the grid

@@ -23,13 +23,13 @@ type Spectrum struct {
 // CSI matrices.
 //
 // Concurrency contract: an Estimator owns mutable workspace arenas (the
-// smoothed-CSI matrix, the eigendecomposition scratch, the spectrum and
-// per-column caches), so it is single-goroutine — one goroutine per
-// Estimator at a time. The expensive pure-geometry precomputation (grids
-// and steering powers) lives in a shared read-only steeringTable obtained
-// from the package steering cache, so constructing extra estimators for
-// extra goroutines is cheap; callers that fan out across goroutines should
-// keep a pool of estimators (see the localizer's sync.Pool).
+// smoothed-CSI matrix, the eigendecomposition scratch, the sweep's column
+// ring), so it is single-goroutine — one goroutine per Estimator at a
+// time. The expensive pure-geometry precomputation (grids and steering
+// powers) lives in a shared read-only steeringTable obtained from the
+// package steering cache, so constructing extra estimators for extra
+// goroutines is cheap; callers that fan out across goroutines should keep
+// a pool of estimators (see the localizer's sync.Pool).
 //
 //spotfi:arena
 type Estimator struct {
@@ -51,41 +51,17 @@ type Estimator struct {
 	vecs [][]complex128
 	cut  int
 
-	// w[k*subAnt+a] = v_k[a-th block]ᴴ·o(τ) for the column being
-	// evaluated.
-	w []complex128
+	// w[k*subAnt+a] = v_k[a-th block]ᴴ·o(τ) and qp[c] = q_ab (a<b) for
+	// the τ-column being evaluated.
+	w  []complex128
+	qp []complex128
 
-	// Per-column sweep cache: the block quadratic forms q_ab(τ_j) shared
-	// by every θ in column j. colDone marks columns already computed for
-	// the current packet, so the refinement windows never recompute a
-	// column the coarse pass touched.
-	colQDiag []float64
-	colQPair []complex128
-	colDone  []bool
-
-	// specP/computed are the (flattened row-major) spectrum arena and its
-	// evaluation mask for the current packet.
-	specP    []float64
-	computed []bool
-	// evalIdx lists the flattened indices of evaluated cells in evaluation
-	// order, so peak finding after a coarse pass visits only those cells
-	// instead of scanning (and mask-testing) the whole grid.
-	evalIdx []int32
-	// denseDone marks that every cell of specP is evaluated.
-	denseDone bool
-	// cells counts evaluated cells for diagnostics.
-	cells int
+	// ring holds the clamped MUSIC denominators of the last three
+	// τ-columns: column j lives at ring[(j%3)·nt : (j%3+1)·nt].
+	ring []float64
 
 	// Peak-finding scratch.
-	scratch   []PathEstimate
-	coarseTop []coarseMax
-	latI      []int
-	latJ      []int
-}
-
-type coarseMax struct {
-	i, j int
-	v    float64
+	scratch []PathEstimate
 }
 
 // NewEstimator validates p and binds the shared precomputed steering
@@ -95,20 +71,15 @@ func NewEstimator(p Params) (*Estimator, error) {
 		return nil, err
 	}
 	tab := lookupSteeringTable(p)
-	nt, nu := len(tab.thetas), len(tab.taus)
 	e := &Estimator{
-		p:        p,
-		tab:      tab,
-		thetas:   tab.thetas,
-		taus:     tab.taus,
-		w:        make([]complex128, p.MaxPaths*tab.subAnt),
-		colQDiag: make([]float64, nu),
-		colQPair: make([]complex128, nu*tab.nPair),
-		colDone:  make([]bool, nu),
-		specP:    make([]float64, nt*nu),
-		computed: make([]bool, nt*nu),
-		evalIdx:  make([]int32, 0, nt*nu),
-		scratch:  make([]PathEstimate, 0, 32),
+		p:       p,
+		tab:     tab,
+		thetas:  tab.thetas,
+		taus:    tab.taus,
+		w:       make([]complex128, p.MaxPaths*tab.subAnt),
+		qp:      make([]complex128, tab.nPair),
+		ring:    make([]float64, 3*len(tab.thetas)),
+		scratch: make([]PathEstimate, 0, 32),
 	}
 	return e, nil
 }
@@ -129,20 +100,19 @@ func (e *Estimator) EstimatePaths(c *csi.Matrix) ([]PathEstimate, error) {
 // EstimatePathsDiag is EstimatePaths plus per-packet DSP diagnostics for
 // burst tracing. The Diag is valid only when err is nil.
 func (e *Estimator) EstimatePathsDiag(c *csi.Matrix) ([]PathEstimate, Diag, error) {
-	dim, eig, err := e.sweep(c)
+	dim, eig, err := e.prepare(c)
 	if err != nil {
 		return nil, Diag{}, err
 	}
-	peaks, denseFallback := e.peaksWithFallback(dim)
+	peaks := e.sweep(dim, nil)
 	d := Diag{
-		EigenSweeps:   eig.Sweeps,
-		SignalDim:     dim,
-		EigenGapDB:    eigenGapDB(eig.Values, dim),
-		GridTheta:     len(e.thetas),
-		GridTau:       len(e.taus),
-		Peaks:         len(peaks),
-		CellsSwept:    e.cells,
-		DenseFallback: denseFallback,
+		EigenSweeps: eig.Sweeps,
+		SignalDim:   dim,
+		EigenGapDB:  eigenGapDB(eig.Values, dim),
+		GridTheta:   len(e.thetas),
+		GridTau:     len(e.taus),
+		Peaks:       len(peaks),
+		CellsSwept:  len(e.thetas) * len(e.taus),
 	}
 	out := make([]PathEstimate, len(peaks))
 	copy(out, peaks)
@@ -154,27 +124,26 @@ func (e *Estimator) EstimatePathsDiag(c *csi.Matrix) ([]PathEstimate, Diag, erro
 // consume. The returned spectrum is a fresh copy, unaffected by later
 // estimator calls.
 func (e *Estimator) Spectrum(c *csi.Matrix) (*Spectrum, error) {
-	if _, _, err := e.sweep(c); err != nil {
+	dim, _, err := e.prepare(c)
+	if err != nil {
 		return nil, err
 	}
-	e.evalRemaining()
 	nt, nu := len(e.thetas), len(e.taus)
-	spec := &Spectrum{Thetas: e.thetas, Taus: e.taus, P: make([][]float64, nt)}
 	flat := make([]float64, nt*nu)
-	copy(flat, e.specP)
+	e.sweep(dim, flat)
+	spec := &Spectrum{Thetas: e.thetas, Taus: e.taus, P: make([][]float64, nt)}
 	for i := range spec.P {
 		spec.P[i] = flat[i*nu : (i+1)*nu]
 	}
 	return spec, nil //lint:allow arenaescape Thetas/Taus alias the immutable shared steering table, safe to hold
 }
 
-// sweep runs the front half of the pipeline — smoothing, covariance,
-// eigendecomposition — then evaluates the pseudo-spectrum, coarse-to-fine
-// unless configured dense. On return specP/computed hold the evaluated
-// region for the packet.
+// prepare runs the front half of the pipeline — smoothing, covariance,
+// eigendecomposition — and leaves the signal eigenvectors in vecs/cut for
+// the sweep.
 //
 //spotfi:noalloc
-func (e *Estimator) sweep(c *csi.Matrix) (int, *cmat.EigenDecomposition, error) {
+func (e *Estimator) prepare(c *csi.Matrix) (int, *cmat.EigenDecomposition, error) {
 	if err := c.Validate(); err != nil { //lint:allow noalloc rejection path; a malformed packet never reaches the sweep twice
 		return 0, nil, err
 	}
@@ -197,194 +166,139 @@ func (e *Estimator) sweep(c *csi.Matrix) (int, *cmat.EigenDecomposition, error) 
 	dim := eig.SignalDimension(e.p.EigenThreshold, e.p.MaxPaths)
 	e.cut = eig.SignalCut(e.p.EigenThreshold, e.p.MaxPaths)
 	e.vecs = eig.Vectors[:e.cut]
-
-	// Reset the per-packet sweep state.
-	for i := range e.colDone {
-		e.colDone[i] = false
-	}
-	for i := range e.computed {
-		e.computed[i] = false
-	}
-	e.cells = 0
-	e.evalIdx = e.evalIdx[:0]
-	e.denseDone = false
-
-	nt, nu := len(e.thetas), len(e.taus)
-	cf := e.p.coarseFactor()
-	if cf <= 1 || nt < 4*cf || nu < 4*cf {
-		// Dense sweep: configured, or the grid is too small for the
-		// coarse lattice to be meaningful.
-		e.evalRemaining()
-	} else {
-		e.coarsePass(cf)
-	}
 	return dim, eig, nil
 }
 
-// coarsePass evaluates the stride-cf lattice (endpoints forced in), finds
-// its local maxima, and densely evaluates a window of radius 2·cf around
-// each of the strongest MaxPaths+4 of them.
+// undercut is the relative margin by which a neighbour's denominator must
+// fall below a cell's to rule the cell out as a peak without a division:
+// d_n < d·(1−2⁻⁴⁶), even after the product's rounding, gives
+// fl(1/d_n) > fl(1/d), so the strict peak rule would reject the cell too.
+const undercut = 1 - 0x1p-46
+
+// sweep is the dense MUSIC sweep, streamed over the τ-columns in order.
+// Each column's cells hold only the clamped denominator of P = 1/d in a
+// three-column ring; once column j+1 exists, the interior cells of
+// column j that no neighbour undercuts become candidates, confirmed with
+// the strict 8-neighbour rule on 1/d and refined from the ring. The
+// returned peaks — the top count by power, deduplicated — alias the
+// estimator's scratch arena. When spec is non-nil it receives P for
+// every cell, flattened row-major by θ.
+//
+// Grid-edge cells are never peaks: a maximum at the ±90° AoA edge (array
+// endfire, where a ULA has no resolution) or at the ToF search boundary
+// is a truncation artifact, not a resolvable path, and its
+// packet-to-packet repeatability would otherwise fabricate a spuriously
+// tight cluster.
 //
 //spotfi:noalloc
-func (e *Estimator) coarsePass(cf int) {
-	nt, nu := len(e.thetas), len(e.taus)
-	e.latI = latticeIndices(e.latI[:0], nt, cf)
-	e.latJ = latticeIndices(e.latJ[:0], nu, cf)
-	for _, j := range e.latJ {
-		e.evalColumn(j, e.latI)
-	}
-
-	// Local maxima over the coarse lattice, edges included (out-of-range
-	// neighbors are ignored, so a peak drifting past the lattice border
-	// still seeds a window).
-	li, lj := len(e.latI), len(e.latJ)
-	top := e.coarseTop[:0]
-	maxKeep := e.p.MaxPaths + 4
-	for a := 0; a < li; a++ {
-		for b := 0; b < lj; b++ {
-			v := e.specP[e.latI[a]*nu+e.latJ[b]]
-			isMax := true
-			for da := -1; da <= 1 && isMax; da++ {
-				for db := -1; db <= 1; db++ {
-					if da == 0 && db == 0 {
-						continue
-					}
-					na, nb := a+da, b+db
-					if na < 0 || na >= li || nb < 0 || nb >= lj {
-						continue
-					}
-					if e.specP[e.latI[na]*nu+e.latJ[nb]] > v {
-						isMax = false
-						break
-					}
-				}
-			}
-			if isMax {
-				top = insertCoarseMax(top, coarseMax{i: e.latI[a], j: e.latJ[b], v: v}, maxKeep)
+func (e *Estimator) sweep(count int, spec []float64) []PathEstimate {
+	nu := len(e.taus)
+	peaks := e.scratch[:0]
+	for j := 0; j < nu; j++ {
+		col := e.ringCol(j)
+		e.column(j, col)
+		if spec != nil {
+			for i, d := range col {
+				spec[i*nu+j] = 1 / d
 			}
 		}
-	}
-	e.coarseTop = top
-
-	r := 2 * cf
-	for _, m := range top {
-		i0, i1 := m.i-r, m.i+r
-		if i0 < 0 {
-			i0 = 0
-		}
-		if i1 > nt-1 {
-			i1 = nt - 1
-		}
-		j0, j1 := m.j-r, m.j+r
-		if j0 < 0 {
-			j0 = 0
-		}
-		if j1 > nu-1 {
-			j1 = nu - 1
-		}
-		for j := j0; j <= j1; j++ {
-			e.evalColumnRange(j, i0, i1)
+		if j >= 2 {
+			peaks = e.columnPeaks(peaks, j-1)
 		}
 	}
+	e.scratch = peaks[:0]
+	rTheta, rTau := e.p.dedupeRadii()
+	return selectPeaks(peaks, count, rTheta, rTau)
 }
 
-// latticeIndices appends 0, cf, 2·cf, … and forces the final index n−1.
+// ringCol returns column j's slot in the denominator ring.
 //
 //spotfi:noalloc
-func latticeIndices(dst []int, n, cf int) []int {
-	for i := 0; i < n; i += cf {
-		dst = append(dst, i)
-	}
-	if dst[len(dst)-1] != n-1 {
-		dst = append(dst, n-1)
-	}
-	return dst
+func (e *Estimator) ringCol(j int) []float64 {
+	nt := len(e.thetas)
+	s := j % 3
+	return e.ring[s*nt : (s+1)*nt]
 }
 
-// insertCoarseMax keeps top sorted by descending value, capped at k.
-//
-//spotfi:noalloc
-func insertCoarseMax(top []coarseMax, m coarseMax, k int) []coarseMax {
-	pos := len(top)
-	for pos > 0 && top[pos-1].v < m.v {
-		pos--
-	}
-	if pos >= k {
-		return top
-	}
-	if len(top) < k {
-		top = append(top, coarseMax{})
-	}
-	copy(top[pos+1:], top[pos:])
-	top[pos] = m
-	return top
-}
-
-// evalColumn evaluates the given rows of column j.
-//
-//spotfi:noalloc
-func (e *Estimator) evalColumn(j int, rows []int) {
-	qd, qp := e.columnQ(j)
-	nu := len(e.taus)
-	for _, i := range rows {
-		idx := i*nu + j
-		if !e.computed[idx] {
-			e.evalCell(idx, i, qd, qp)
-		}
-	}
-}
-
-// evalColumnRange evaluates rows [i0, i1] of column j, skipping cells the
-// coarse pass already computed.
-//
-//spotfi:noalloc
-func (e *Estimator) evalColumnRange(j, i0, i1 int) {
-	qd, qp := e.columnQ(j)
-	nu := len(e.taus)
-	for i := i0; i <= i1; i++ {
-		idx := i*nu + j
-		if !e.computed[idx] {
-			e.evalCell(idx, i, qd, qp)
-		}
-	}
-}
-
-// evalCell computes P(θ_i, τ_j) from the column's cached block forms: the
+// column writes the clamped denominators of τ-column j into col: the
 // Kronecker decomposition of Eq. 7 reduces each cell to nPair complex
-// multiplies against the per-theta antenna pair products.
+// multiplies of the column's block forms against the per-theta antenna
+// pair products.
 //
 //spotfi:noalloc
-func (e *Estimator) evalCell(idx, i int, qd float64, qp []complex128) {
-	nPair := e.tab.nPair
-	pr := e.tab.pair[i*nPair : (i+1)*nPair]
-	var cross float64
-	for c, qc := range qp {
-		cross += real(pr[c])*real(qc) - imag(pr[c])*imag(qc)
+func (e *Estimator) column(j int, col []float64) {
+	qd := e.columnQ(j)
+	qp, pair := e.qp, e.tab.pair
+	if len(qp) == 1 {
+		// One antenna pair, the paper's 2-antenna window: the same
+		// arithmetic without the per-cell pair loop. On a 2-vCPU VM a
+		// single loop for every pair count, with the pair table cell-major
+		// or transposed, cost about 7% more batch40 CPU per fix.
+		q := qp[0]
+		for i, p := range pair[:len(col)] {
+			var cross float64
+			cross += real(p)*real(q) - imag(p)*imag(q)
+			col[i] = clampDenom(qd + 2*cross)
+		}
+		return
 	}
-	denom := qd + 2*cross
-	if denom < 1e-18 {
-		denom = 1e-18
+	nPair := len(qp)
+	for i := range col {
+		pr := pair[i*nPair : (i+1)*nPair]
+		var cross float64
+		for c, qc := range qp {
+			cross += real(pr[c])*real(qc) - imag(pr[c])*imag(qc)
+		}
+		col[i] = clampDenom(qd + 2*cross)
 	}
-	e.specP[idx] = 1 / denom
-	e.computed[idx] = true
-	e.evalIdx = append(e.evalIdx, int32(idx))
-	e.cells++
 }
 
-// columnQ returns the block quadratic forms of column j — the diagonal sum
-// Σ_a q_aa and the off-diagonal q_ab for a<b — computing and caching them
-// on first use. Rather than materializing the noise projector E_N·E_Nᴴ
-// (the dominant cost of the old dense sweep), it uses the complement
-// identity P_N = I − Σ_k v_k·v_kᴴ over the few signal eigenvectors:
-// q_ab = δ_ab·‖o‖² − Σ_k conj(w_ka)·w_kb with w_ka = v_k[block a]ᴴ·o(τ_j).
+// clampDenom floors a MUSIC denominator at 1e-18, so P = 1/d stays finite
+// where the steering vector lies in the signal subspace.
 //
 //spotfi:noalloc
-func (e *Estimator) columnQ(j int) (float64, []complex128) {
-	nPair := e.tab.nPair
-	qp := e.colQPair[j*nPair : (j+1)*nPair]
-	if e.colDone[j] {
-		return e.colQDiag[j], qp
+func clampDenom(d float64) float64 {
+	if d < 1e-18 {
+		return 1e-18
 	}
+	return d
+}
+
+// columnPeaks appends the refined peaks of interior τ-column j, whose
+// neighbours j−1 and j+1 are in the ring.
+//
+//spotfi:noalloc
+func (e *Estimator) columnPeaks(peaks []PathEstimate, j int) []PathEstimate {
+	l, m, r := e.ringCol(j-1), e.ringCol(j), e.ringCol(j+1)
+	for i := 1; i < len(m)-1; i++ {
+		t := m[i] * undercut
+		if m[i-1] < t || m[i+1] < t ||
+			l[i-1] < t || l[i] < t || l[i+1] < t ||
+			r[i-1] < t || r[i] < t || r[i+1] < t {
+			continue
+		}
+		v := 1 / m[i]
+		if 1/m[i-1] > v || 1/m[i+1] > v ||
+			1/l[i-1] > v || 1/l[i] > v || 1/l[i+1] > v ||
+			1/r[i-1] > v || 1/r[i] > v || 1/r[i+1] > v {
+			continue
+		}
+		theta := refineAxis(e.thetas, i, func(k int) float64 { return 1 / m[k] })
+		tau := refineAxis(e.taus, j, func(k int) float64 { return 1 / e.ringCol(k)[i] })
+		peaks = append(peaks, PathEstimate{AoA: theta, ToF: tau, Power: v})
+	}
+	return peaks
+}
+
+// columnQ computes the block quadratic forms of τ-column j — the diagonal
+// sum Σ_a q_aa, returned, and the off-diagonal q_ab for a<b, left in qp.
+// Rather than materializing the noise projector E_N·E_Nᴴ, it uses the
+// complement identity P_N = I − Σ_k v_k·v_kᴴ over the few signal
+// eigenvectors: q_ab = δ_ab·‖o‖² − Σ_k conj(w_ka)·w_kb with
+// w_ka = v_k[block a]ᴴ·o(τ_j).
+//
+//spotfi:noalloc
+func (e *Estimator) columnQ(j int) float64 {
 	subAnt, subSub := e.tab.subAnt, e.tab.subSub
 	o := e.tab.omega[j*subSub : (j+1)*subSub]
 	w := e.w[:e.cut*subAnt]
@@ -409,167 +323,47 @@ func (e *Estimator) columnQ(j int) (float64, []complex128) {
 			for k := 0; k < e.cut; k++ {
 				sum += cmplx.Conj(w[k*subAnt+a]) * w[k*subAnt+b]
 			}
-			qp[c] = -sum
+			e.qp[c] = -sum
 			c++
 		}
 	}
-	e.colQDiag[j] = qd
-	e.colDone[j] = true
-	return qd, qp
+	return qd
 }
 
-// evalRemaining evaluates every not-yet-computed cell (the dense sweep, or
-// the dense fallback after a coarse pass).
+// selectPeaks moves to the front of peaks, and returns, the first count
+// peaks in canonical order (peakBefore) that are not within both physical
+// merge radii of an earlier kept one — plateaus produce runs of
+// near-equal "peaks". It selects rather than sorts: a flat spectrum makes
+// every interior cell a candidate, and only the kept peaks and their
+// duplicates are ever ordered. Because the order is total, the result is
+// a pure function of the candidate set, not of the order the sweep found
+// it in.
 //
 //spotfi:noalloc
-func (e *Estimator) evalRemaining() {
-	if e.denseDone {
-		return
-	}
-	nt, nu := len(e.thetas), len(e.taus)
-	for j := 0; j < nu; j++ {
-		e.evalColumnRange(j, 0, nt-1)
-	}
-	e.denseDone = true
-}
-
-// peaksWithFallback finds peaks on the evaluated region and falls back to
-// the dense sweep when the result is untrustworthy: a candidate peak sits
-// on the border of the evaluated region (its true neighborhood is
-// unknown), and that candidate is strong enough to displace the weakest
-// accepted peak (or too few peaks were found at all). The returned slice
-// aliases the estimator's scratch arena.
-//
-//spotfi:noalloc
-func (e *Estimator) peaksWithFallback(dim int) ([]PathEstimate, bool) {
-	peaks, crowdMax := e.findPeaksMasked(dim)
-	if e.denseDone || crowdMax == 0 {
-		return peaks, false
-	}
-	if len(peaks) >= dim && crowdMax <= peaks[len(peaks)-1].Power {
-		return peaks, false
-	}
-	e.evalRemaining()
-	peaks, _ = e.findPeaksMasked(dim)
-	return peaks, true
-}
-
-// findPeaksMasked locates local maxima of the evaluated pseudo-spectrum
-// region, refines them with per-axis quadratic interpolation, merges
-// near-duplicates by physical distance, and returns the top count peaks by
-// power (in the estimator's scratch arena). crowdMax is the strongest
-// would-be peak that touched the border of the evaluated region — zero
-// when the region's peaks are all interior, i.e. the coarse windows were
-// large enough.
-//
-// Grid-edge cells are excluded: a maximum at the ±90° AoA edge (array
-// endfire, where a ULA has no resolution) or at the ToF search boundary is
-// a truncation artifact, not a resolvable path, and its packet-to-packet
-// repeatability would otherwise fabricate a spuriously tight cluster.
-//
-//spotfi:noalloc
-func (e *Estimator) findPeaksMasked(count int) ([]PathEstimate, float64) {
-	nt, nu := len(e.thetas), len(e.taus)
-	peaks := e.scratch[:0]
-	crowdMax := 0.0
-	if e.denseDone {
-		// Every cell is evaluated: scan row-major with no mask loads and
-		// the neighbor comparisons flattened.
-		for i := 1; i < nt-1; i++ {
-			for j := 1; j < nu-1; j++ {
-				idx := i*nu + j
-				v := e.specP[idx]
-				if e.specP[idx-nu-1] > v || e.specP[idx-nu] > v || e.specP[idx-nu+1] > v ||
-					e.specP[idx-1] > v || e.specP[idx+1] > v ||
-					e.specP[idx+nu-1] > v || e.specP[idx+nu] > v || e.specP[idx+nu+1] > v {
-					continue
-				}
-				peaks = e.appendRefined(peaks, i, j, v)
+func selectPeaks(peaks []PathEstimate, count int, rTheta, rTau float64) []PathEstimate {
+	kept := 0
+	for next := 0; next < len(peaks) && kept < count; next++ {
+		best := next
+		for k := next + 1; k < len(peaks); k++ {
+			if peakBefore(peaks[k], peaks[best]) {
+				best = k
 			}
 		}
-	} else {
-		// Sparse region: visit only the evaluated cells, in evaluation
-		// order. Enumeration order does not affect results —
-		// sortPeaksByPower orders ties by position, so plateaus of
-		// exact-equal cells (e.g. at the denominator clamp) resolve the
-		// same way as under the dense row-major scan.
-		for _, idx32 := range e.evalIdx {
-			idx := int(idx32)
-			i, j := idx/nu, idx%nu
-			if i == 0 || i == nt-1 || j == 0 || j == nu-1 {
-				continue
+		p := peaks[best]
+		peaks[best] = peaks[next]
+		dup := false
+		for _, q := range peaks[:kept] {
+			if math.Abs(p.AoA-q.AoA) <= rTheta && math.Abs(p.ToF-q.ToF) <= rTau {
+				dup = true
+				break
 			}
-			v := e.specP[idx]
-			isPeak, border := true, false
-			for di := -1; di <= 1 && isPeak; di++ {
-				for dj := -1; dj <= 1; dj++ {
-					if di == 0 && dj == 0 {
-						continue
-					}
-					nidx := (i+di)*nu + (j + dj)
-					if !e.computed[nidx] {
-						border = true
-						continue
-					}
-					if e.specP[nidx] > v {
-						isPeak = false
-						break
-					}
-				}
-			}
-			if !isPeak {
-				continue
-			}
-			if border {
-				// No computed neighbor beats it, but part of its
-				// neighborhood is unknown: can neither accept nor
-				// reject. Record it for the fallback decision.
-				if v > crowdMax {
-					crowdMax = v
-				}
-				continue
-			}
-			peaks = e.appendRefined(peaks, i, j, v)
+		}
+		if !dup {
+			peaks[kept] = p
+			kept++
 		}
 	}
-	sortPeaksByPower(peaks)
-	rTheta, rTau := e.p.dedupeRadii()
-	peaks = dedupePeaks(peaks, rTheta, rTau)
-	if len(peaks) > count {
-		peaks = peaks[:count]
-	}
-	e.scratch = peaks[:0]
-	return peaks, crowdMax
-}
-
-// appendRefined quadratically refines the accepted maximum at (i, j) on
-// both axes and appends the estimate.
-//
-//spotfi:noalloc
-func (e *Estimator) appendRefined(peaks []PathEstimate, i, j int, v float64) []PathEstimate {
-	nu := len(e.taus)
-	theta := refineAxis(e.thetas, i, func(k int) float64 { return e.specP[k*nu+j] })
-	tau := refineAxis(e.taus, j, func(k int) float64 { return e.specP[i*nu+k] })
-	return append(peaks, PathEstimate{AoA: theta, ToF: tau, Power: v})
-}
-
-// sortPeaksByPower sorts descending by Power with an allocation-free
-// insertion sort (peak counts are tiny). Equal powers order by position
-// (AoA, then ToF) so the result is a pure function of the peak set — the
-// coarse and dense sweeps enumerate candidates in different orders, and
-// dedupePeaks keeps whichever duplicate sorts first.
-//
-//spotfi:noalloc
-func sortPeaksByPower(peaks []PathEstimate) {
-	for i := 1; i < len(peaks); i++ {
-		p := peaks[i]
-		j := i
-		for j > 0 && peakBefore(p, peaks[j-1]) {
-			peaks[j] = peaks[j-1]
-			j--
-		}
-		peaks[j] = p
-	}
+	return peaks[:kept]
 }
 
 // peakBefore is the canonical peak order: descending power, ties broken
@@ -604,31 +398,6 @@ func gridPoints(start, stop, step float64) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = start + float64(i)*step
-	}
-	return out
-}
-
-// dedupePeaks drops peaks within both physical merge radii of a stronger
-// one (plateaus produce runs of near-equal "peaks"). peaks must be sorted
-// by descending power; the filter compacts in place.
-//
-//spotfi:noalloc
-func dedupePeaks(peaks []PathEstimate, rTheta, rTau float64) []PathEstimate {
-	if len(peaks) < 2 {
-		return peaks
-	}
-	out := peaks[:0]
-	for _, p := range peaks {
-		dup := false
-		for _, kept := range out {
-			if math.Abs(p.AoA-kept.AoA) <= rTheta && math.Abs(p.ToF-kept.ToF) <= rTau {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, p)
-		}
 	}
 	return out
 }

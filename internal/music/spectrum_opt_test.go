@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -114,10 +115,288 @@ func complexPow(z complex128, n int) complex128 {
 	return cmplx.Rect(math.Pow(r, float64(n)), phase*float64(n))
 }
 
-// TestCoarseMatchesDense is the core equivalence guarantee of the
-// coarse-to-fine sweep: across seeded scenes — including multipath-heavy
-// ones — the returned paths must match the classic dense sweep exactly
-// (same cells, same refinement, same dedupe).
+// denseReference is the brute-force dense sweep the streaming kernel must
+// reproduce: it evaluates P = 1/clamp(qd + 2·cross) over the whole grid
+// from the signal eigenvectors e's last estimate left in vecs/cut, keeps
+// every interior cell no 8-neighbour strictly exceeds, refines, sorts,
+// dedupes and truncates to count. It returns the peaks (nil for none) and
+// the flattened spectrum (row-major by θ).
+func denseReference(e *Estimator, count int) ([]PathEstimate, []float64) {
+	tab := e.tab
+	nt, nu := len(e.thetas), len(e.taus)
+	subAnt, subSub := tab.subAnt, tab.subSub
+	spec := make([]float64, nt*nu)
+	w := make([]complex128, e.cut*subAnt)
+	qp := make([]complex128, tab.nPair)
+	for j := 0; j < nu; j++ {
+		o := tab.omega[j*subSub : (j+1)*subSub]
+		for k, v := range e.vecs {
+			for a := 0; a < subAnt; a++ {
+				blk := v[a*subSub : (a+1)*subSub]
+				var sum complex128
+				for s, os := range o {
+					sum += cmplx.Conj(blk[s]) * os
+				}
+				w[k*subAnt+a] = sum
+			}
+		}
+		qd := float64(subAnt) * tab.omegaNorm[j]
+		for _, wv := range w {
+			qd -= real(wv)*real(wv) + imag(wv)*imag(wv)
+		}
+		c := 0
+		for a := 0; a < subAnt; a++ {
+			for b := a + 1; b < subAnt; b++ {
+				var sum complex128
+				for k := 0; k < e.cut; k++ {
+					sum += cmplx.Conj(w[k*subAnt+a]) * w[k*subAnt+b]
+				}
+				qp[c] = -sum
+				c++
+			}
+		}
+		for i := 0; i < nt; i++ {
+			pr := tab.pair[i*tab.nPair : (i+1)*tab.nPair]
+			var cross float64
+			for c, qc := range qp {
+				cross += real(pr[c])*real(qc) - imag(pr[c])*imag(qc)
+			}
+			denom := qd + 2*cross
+			if denom < 1e-18 {
+				denom = 1e-18
+			}
+			spec[i*nu+j] = 1 / denom
+		}
+	}
+	var peaks []PathEstimate
+	for i := 1; i < nt-1; i++ {
+	cells:
+		for j := 1; j < nu-1; j++ {
+			v := spec[i*nu+j]
+			for di := -1; di <= 1; di++ {
+				for dj := -1; dj <= 1; dj++ {
+					if spec[(i+di)*nu+j+dj] > v {
+						continue cells
+					}
+				}
+			}
+			theta := refineAxis(e.thetas, i, func(k int) float64 { return spec[k*nu+j] })
+			tau := refineAxis(e.taus, j, func(k int) float64 { return spec[i*nu+k] })
+			peaks = append(peaks, PathEstimate{AoA: theta, ToF: tau, Power: v})
+		}
+	}
+	// Sort by the canonical order, then drop every peak within both merge
+	// radii of a stronger kept one and truncate to count. Stopping once
+	// count peaks are kept is the same as deduplicating the whole list
+	// and truncating, and keeps flat spectra, where every interior cell
+	// is a candidate, fast.
+	sort.Slice(peaks, func(a, b int) bool { return peakBefore(peaks[a], peaks[b]) })
+	rTheta, rTau := e.p.dedupeRadii()
+	var kept []PathEstimate
+	for _, p := range peaks {
+		if len(kept) == count {
+			break
+		}
+		dup := false
+		for _, q := range kept {
+			if math.Abs(p.AoA-q.AoA) <= rTheta && math.Abs(p.ToF-q.ToF) <= rTau {
+				dup = true
+			}
+		}
+		if !dup {
+			kept = append(kept, p)
+		}
+	}
+	return kept, spec
+}
+
+// checkAgainstReference estimates c and requires the paths, and the
+// Spectrum when withSpectrum is set, to be finite and equal denseReference
+// bit for bit. An estimation error is returned, not judged.
+func checkAgainstReference(t testing.TB, e *Estimator, c *csi.Matrix, withSpectrum bool) error {
+	t.Helper()
+	got, d, err := e.EstimatePathsDiag(c)
+	if err != nil {
+		return err
+	}
+	want, wantSpec := denseReference(e, d.SignalDim)
+	if len(got) != len(want) {
+		t.Fatalf("sweep found %d paths, dense reference %d:\n got %+v\nwant %+v", len(got), len(want), got, want)
+	}
+	for i := range got {
+		p := got[i]
+		if math.IsNaN(p.Power) || math.IsInf(p.Power, 0) || math.IsNaN(p.AoA) || math.IsNaN(p.ToF) {
+			t.Fatalf("path %d is not finite: %+v", i, p)
+		}
+		if p != want[i] { //lint:allow floateq the streaming sweep must reproduce the dense reference bit for bit
+			t.Fatalf("path %d: sweep %+v, dense reference %+v", i, p, want[i])
+		}
+	}
+	if d.CellsSwept != len(wantSpec) {
+		t.Fatalf("CellsSwept = %d, want the grid size %d", d.CellsSwept, len(wantSpec))
+	}
+	if !withSpectrum {
+		return nil
+	}
+	spec, err := e.Spectrum(c)
+	if err != nil {
+		t.Fatalf("Spectrum: %v", err)
+	}
+	nu := len(spec.Taus)
+	for i, row := range spec.P {
+		for j, v := range row {
+			if math.Float64bits(v) != math.Float64bits(wantSpec[i*nu+j]) {
+				t.Fatalf("Spectrum[%d][%d] = %v, dense reference %v", i, j, v, wantSpec[i*nu+j])
+			}
+		}
+	}
+	return nil
+}
+
+// randomPaths draws 1–6 paths spread over ±80° AoA and ±150 ns ToF with
+// random complex gains.
+func randomPaths(rng *rand.Rand) ([]PathEstimate, []complex128) {
+	n := 1 + rng.Intn(6)
+	paths := make([]PathEstimate, n)
+	gains := make([]complex128, n)
+	for k := range paths {
+		paths[k] = PathEstimate{
+			AoA: (rng.Float64()*160 - 80) * math.Pi / 180,
+			ToF: (rng.Float64()*300 - 150) * 1e-9,
+		}
+		gains[k] = cmplx.Rect(0.2+0.8*rng.Float64(), 2*math.Pi*rng.Float64())
+	}
+	return paths, gains
+}
+
+// TestSweepMatchesDenseReference is the exactness guarantee of the
+// streaming sweep: across thousands of seeded random multipath packets,
+// with one and with three antenna pairs and on a 20 MHz band, the paths
+// and the spectrum equal the brute-force dense reference bit for bit. The
+// noiseless packets put every other one's single path exactly on a grid
+// point, where the denominator mostly hits the 1e-18 clamp; the flat ones
+// scale the CSI down until the covariance underflows, so every interior
+// cell ties with its vertical neighbours and is a candidate.
+func TestSweepMatchesDenseReference(t *testing.T) {
+	threePairs := DefaultParams()
+	threePairs.SubarrayAntennas = 3
+	band20 := DefaultParams()
+	band20.Band = rf.Band20MHz()
+	band20.Array = rf.DefaultArray(band20.Band)
+	band20.SubarraySubcarriers = 14
+	type corpus struct {
+		name    string
+		p       Params
+		packets int
+		csi     func(e *Estimator, rng *rand.Rand, n int) *csi.Matrix
+	}
+	noisy := func(e *Estimator, rng *rand.Rand, _ int) *csi.Matrix {
+		paths, gains := randomPaths(rng)
+		c := buildCSI(e.p.Band, e.p.Array, paths, gains)
+		addNoise(c, 0.02+0.28*rng.Float64(), rng)
+		return c
+	}
+	corpora := []corpus{
+		{"default", DefaultParams(), 3000, noisy},
+		{"noiseless", DefaultParams(), 300, func(e *Estimator, rng *rand.Rand, n int) *csi.Matrix {
+			paths, gains := randomPaths(rng)
+			if n%2 == 0 {
+				paths = []PathEstimate{{AoA: e.thetas[1+rng.Intn(len(e.thetas)-2)], ToF: e.taus[1+rng.Intn(len(e.taus)-2)]}}
+			}
+			return buildCSI(e.p.Band, e.p.Array, paths, gains[:len(paths)])
+		}},
+		{"flat", DefaultParams(), 30, func(e *Estimator, rng *rand.Rand, n int) *csi.Matrix {
+			c := noisy(e, rng, n)
+			for _, row := range c.Values {
+				for s := range row {
+					row[s] *= 1e-160
+				}
+			}
+			return c
+		}},
+		{"three-antenna-pairs", threePairs, 300, noisy},
+		{"20MHz", band20, 300, noisy},
+	}
+	for ci, cp := range corpora {
+		t.Run(cp.name, func(t *testing.T) {
+			e, err := NewEstimator(cp.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < cp.packets; n++ {
+				rng := rand.New(rand.NewSource(int64(ci)<<32 | int64(n)))
+				if err := checkAgainstReference(t, e, cp.csi(e, rng, n), n%10 == 0); err != nil {
+					t.Fatalf("packet %d: %v", n, err)
+				}
+			}
+		})
+	}
+}
+
+// TestSweepCandidateFilterIsExact plants a cell of denominator d in the
+// ring with one of its eight neighbours just below it, on a background no
+// other cell peaks on, and requires columnPeaks to obey the strict rule
+// on 1/d. A neighbour whose reciprocal ties the cell's must not rule the
+// cell out, however close below d it is; one inside the filter's 2⁻⁴⁶
+// margin whose reciprocal is larger must.
+func TestSweepCandidateFilterIsExact(t *testing.T) {
+	e, err := NewEstimator(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const i, j = 90, 100
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		d := math.Ldexp(1+rng.Float64(), rng.Intn(60)-30)
+		// tie is the smallest denominator whose reciprocal equals 1/d.
+		tie := d
+		for 1/math.Nextafter(tie, 0) == 1/d { //lint:allow floateq a tie is exact equality of correctly rounded reciprocals
+			tie = math.Nextafter(tie, 0)
+		}
+		for _, dn := range []float64{tie, d * (1 - 0x1p-50)} {
+			for di := -1; di <= 1; di++ {
+				for dj := -1; dj <= 1; dj++ {
+					if di == 0 && dj == 0 {
+						continue
+					}
+					for c := j - 1; c <= j+1; c++ {
+						col := e.ringCol(c)
+						for k := range col {
+							col[k] = d * float64(4+abs(k-i)+abs(c-j))
+						}
+					}
+					e.ringCol(j)[i] = d
+					e.ringCol(j + dj)[i+di] = dn
+					// The planted neighbour peaks whenever it lies in
+					// column j; the cell peaks unless 1/dn beats 1/d.
+					want := 0
+					if dj == 0 {
+						want++
+					}
+					if !(1/dn > 1/d) {
+						want++
+					}
+					if got := e.columnPeaks(nil, j); len(got) != want {
+						t.Fatalf("d=%v, neighbour (%+d,%+d) at %v: %d peaks, want %d", d, di, dj, dn, len(got), want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// TestCoarseMatchesDense holds the sweep, which the coarse ladder rung
+// runs like every other rung, to the dense reference on hand-placed
+// scenes — one path, three, and six with two of them 4.6° and 12 ns
+// apart: the paths and the spectrum equal the reference bit for bit, and
+// every cell of the grid is swept.
 func TestCoarseMatchesDense(t *testing.T) {
 	scenes := []struct {
 		name  string
@@ -147,88 +426,39 @@ func TestCoarseMatchesDense(t *testing.T) {
 			sigma: 0.08,
 		},
 	}
-	pd := DefaultParams()
-	pd.CoarseGridFactor = 1
-	dense, err := NewEstimator(pd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc := DefaultParams()
-	coarse, err := NewEstimator(pc)
+	e, err := NewEstimator(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range scenes {
 		for seed := int64(1); seed <= 8; seed++ {
-			c := optScene(seed, sc.sigma, sc.paths, sc.gains)
-			dp, dd, err := dense.EstimatePathsDiag(c.Clone())
-			if err != nil {
-				t.Fatalf("%s/%d dense: %v", sc.name, seed, err)
-			}
-			cp, cd, err := coarse.EstimatePathsDiag(c)
-			if err != nil {
-				t.Fatalf("%s/%d coarse: %v", sc.name, seed, err)
-			}
-			if len(dp) != len(cp) {
-				t.Fatalf("%s/%d: dense %d paths, coarse %d", sc.name, seed, len(dp), len(cp))
-			}
-			for i := range dp {
-				if dp[i] != cp[i] { //lint:allow floateq equivalence means identical cells and refinement
-					t.Fatalf("%s/%d path %d: dense %+v coarse %+v", sc.name, seed, i, dp[i], cp[i])
-				}
-			}
-			if cd.CellsSwept > dd.CellsSwept {
-				t.Fatalf("%s/%d: coarse swept %d cells, dense %d", sc.name, seed, cd.CellsSwept, dd.CellsSwept)
+			if err := checkAgainstReference(t, e, optScene(seed, sc.sigma, sc.paths, sc.gains), true); err != nil {
+				t.Fatalf("%s/%d: %v", sc.name, seed, err)
 			}
 		}
 	}
 }
 
-// TestCoarseWindowEdgeFallback forces an extremely coarse lattice so peaks
-// routinely land on window borders, exercising the dense-fallback guard —
-// equivalence must hold regardless.
+// TestCoarseWindowEdgeFallback places two pairs of close paths whose
+// peaks sit about four cells apart, so a search over windows of the grid
+// would meet them at a window's edge. The sweep has no windows: it must
+// sweep every cell and match the dense reference bit for bit on every
+// seed.
 func TestCoarseWindowEdgeFallback(t *testing.T) {
 	paths := []PathEstimate{
 		{AoA: -0.45, ToF: 18e-9}, {AoA: -0.38, ToF: 26e-9},
 		{AoA: 0.52, ToF: 70e-9}, {AoA: 0.58, ToF: 85e-9}}
 	gains := []complex128{1, 0.95 - 0.2i, 0.8 + 0.3i, 0.75}
 
-	pd := DefaultParams()
-	pd.CoarseGridFactor = 1
-	dense, err := NewEstimator(pd)
+	e, err := NewEstimator(DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := DefaultParams()
-	pc.CoarseGridFactor = 16
-	coarse, err := NewEstimator(pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fallbacks := 0
 	for seed := int64(1); seed <= 12; seed++ {
-		c := optScene(seed, 0.1, paths, gains)
-		dp, _, err := dense.EstimatePathsDiag(c.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp, cd, err := coarse.EstimatePathsDiag(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cd.DenseFallback {
-			fallbacks++
-		}
-		if len(dp) != len(cp) {
-			t.Fatalf("seed %d: dense %d paths, coarse-16 %d (fallback=%v)", seed, len(dp), len(cp), cd.DenseFallback)
-		}
-		for i := range dp {
-			if dp[i] != cp[i] { //lint:allow floateq equivalence means identical cells and refinement
-				t.Fatalf("seed %d path %d: dense %+v coarse-16 %+v", seed, i, dp[i], cp[i])
-			}
+		if err := checkAgainstReference(t, e, optScene(seed, 0.1, paths, gains), true); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
-	t.Logf("dense fallbacks triggered on %d/12 seeds", fallbacks)
 }
 
 func TestEstimateSteadyStateAllocs(t *testing.T) {

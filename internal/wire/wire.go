@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"spotfi/internal/csi"
 )
@@ -135,51 +136,47 @@ func EncodeCSIReport(p *csi.Packet) (Frame, error) {
 	return Frame{Type: TypeCSIReport, Payload: buf.Bytes()}, nil
 }
 
-// DecodeCSIReport parses a CSI-report frame back into a packet.
+// reportHeaderSize is the fixed prefix of a CSI report, as
+// EncodeCSIReport writes it: APID int32, Seq uint64, TimestampNs int64,
+// RSSI float64, then MACLen, Antennas and Subcarriers uint16.
+const reportHeaderSize = 34
+
+// DecodeCSIReport parses a CSI-report frame back into a packet. It reads
+// the payload in place: the packet, its matrix and the MAC string are its
+// only allocations.
 func DecodeCSIReport(f Frame) (*csi.Packet, error) {
 	if f.Type != TypeCSIReport {
 		return nil, fmt.Errorf("%w: not a CSI report", ErrBadFrame)
 	}
-	r := bytes.NewReader(f.Payload)
-	var hdr struct {
-		APID        int32
-		Seq         uint64
-		TimestampNs int64
-		RSSI        float64
-		MACLen      uint16
-		Antennas    uint16
-		Subcarriers uint16
+	b := f.Payload
+	if len(b) < reportHeaderSize {
+		return nil, fmt.Errorf("%w: report header: %d of %d bytes", ErrBadFrame, len(b), reportHeaderSize)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("%w: report header: %v", ErrBadFrame, err)
-	}
-	if hdr.Antennas == 0 || hdr.Subcarriers == 0 {
+	le := binary.LittleEndian
+	macLen := int(le.Uint16(b[28:]))
+	antennas, subcarriers := int(le.Uint16(b[30:])), int(le.Uint16(b[32:]))
+	if antennas == 0 || subcarriers == 0 {
 		return nil, fmt.Errorf("%w: zero CSI dims", ErrBadFrame)
 	}
-	want := int(hdr.MACLen) + int(hdr.Antennas)*int(hdr.Subcarriers)*16
-	if r.Len() != want {
-		return nil, fmt.Errorf("%w: payload size %d, want %d", ErrBadFrame, r.Len(), want)
+	body := b[reportHeaderSize:]
+	want := macLen + antennas*subcarriers*16
+	if len(body) != want {
+		return nil, fmt.Errorf("%w: payload size %d, want %d", ErrBadFrame, len(body), want)
 	}
-	mac := make([]byte, hdr.MACLen)
-	if _, err := io.ReadFull(r, mac); err != nil {
-		return nil, fmt.Errorf("%w: MAC: %v", ErrBadFrame, err)
-	}
-	m := csi.NewMatrix(int(hdr.Antennas), int(hdr.Subcarriers))
-	var pair [2]float64
-	for a := 0; a < int(hdr.Antennas); a++ {
-		for n := 0; n < int(hdr.Subcarriers); n++ {
-			if err := binary.Read(r, binary.LittleEndian, &pair); err != nil {
-				return nil, fmt.Errorf("%w: CSI values: %v", ErrBadFrame, err)
-			}
-			m.Values[a][n] = complex(pair[0], pair[1])
+	m := csi.NewMatrix(antennas, subcarriers)
+	vals := body[macLen:]
+	for _, row := range m.Values {
+		for n := range row {
+			row[n] = complex(math.Float64frombits(le.Uint64(vals)), math.Float64frombits(le.Uint64(vals[8:])))
+			vals = vals[16:]
 		}
 	}
 	p := &csi.Packet{
-		APID:        int(hdr.APID),
-		Seq:         hdr.Seq,
-		TimestampNs: hdr.TimestampNs,
-		RSSIdBm:     hdr.RSSI,
-		TargetMAC:   string(mac),
+		APID:        int(int32(le.Uint32(b))),
+		Seq:         le.Uint64(b[4:]),
+		TimestampNs: int64(le.Uint64(b[12:])),
+		RSSIdBm:     math.Float64frombits(le.Uint64(b[20:])),
+		TargetMAC:   string(body[:macLen]),
 		CSI:         m,
 	}
 	if err := p.Validate(); err != nil {

@@ -185,6 +185,23 @@ func TestCSIReportCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeCSIReportAllocs pins the decoder's allocations: the packet,
+// the matrix, its row slice and backing array, and the MAC string.
+func TestDecodeCSIReportAllocs(t *testing.T) {
+	f, err := EncodeCSIReport(testPacket(rand.New(rand.NewSource(104))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeCSIReport(f); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("DecodeCSIReport allocates %.1f times per packet, want ≤ 5", allocs)
+	}
+}
+
 func TestEncodeCSIReportRejectsInvalid(t *testing.T) {
 	if _, err := EncodeCSIReport(&csi.Packet{TargetMAC: "x", RSSIdBm: -10}); err == nil {
 		t.Fatal("nil-CSI packet encoded")

@@ -5,9 +5,12 @@ import "spotfi/internal/admit"
 // BuildLadder constructs one Localizer per degradation rung, cheapest
 // last, all sharing base's metrics and quality monitor. modes bounds how
 // many rungs are built (1 full MUSIC only, 2 adds the ESPRIT fast path,
-// 3 adds the coarse fallback grid). Each rung's ModeLabel is the
-// admit.Mode name it serves, so fixes and traces say which rung produced
-// them.
+// 3 adds the coarse rung). Each rung's ModeLabel is the admit.Mode name
+// it serves, so fixes and traces say which rung produced them.
+//
+// The coarse rung runs exactly what the fast-path rung runs: the MUSIC
+// sweep has no cheaper exact variant, and what the rung should trade away
+// instead is an accuracy decision that needs its measured cost first.
 //
 // This is the single source of rung construction: spotfi-server builds
 // its serving ladder here, and flight-recorder replay rebuilds the same
@@ -27,9 +30,6 @@ func BuildLadder(base Config, aps []AP, modes int) ([]*Localizer, error) {
 		func(c Config) Config {
 			c.ModeLabel = admit.ModeCoarse.String()
 			c.FastPath.Enabled = true
-			// Halve the coarse-pass resolution of the MUSIC fallback on
-			// top of the fast path: cheaper hard bursts, same refinement.
-			c.Music.CoarseGridFactor *= 2
 			return c
 		},
 	}
