@@ -530,26 +530,3 @@ func BenchmarkESPRITAoA(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationEstimatorKind compares the grid MUSIC pipeline against
-// the search-free JADE pipeline end to end: quality metric + timing.
-func BenchmarkAblationEstimatorKind(b *testing.B) {
-	for _, kind := range []spotfi.EstimatorKind{spotfi.EstimatorMUSIC, spotfi.EstimatorJADE} {
-		b.Run(kind.String(), func(b *testing.B) {
-			d := testbed.Office(1)
-			cfg := spotfi.DefaultConfig(d.Bounds)
-			cfg.Estimator = kind
-			cfg.Workers = 1
-			loc, err := spotfi.New(cfg, apsOf(d))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				med := localizeFour(b, d, loc)
-				if i == b.N-1 {
-					b.ReportMetric(med, "median_m")
-				}
-			}
-		})
-	}
-}

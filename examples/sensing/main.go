@@ -3,7 +3,7 @@
 // No device on the moving person — an existing WiFi link between a
 // stationary transmitter and an AP acts as the sensor. When someone walks
 // near the link, the reflected paths change packet to packet and the CSI
-// amplitude profile decorrelates; the detector (internal/sense) flags it.
+// amplitude profile decorrelates; the Detector (detector.go) flags it.
 // This is the first of the paper's future-work applications (Sec. 5).
 //
 //	go run ./examples/sensing
@@ -17,11 +17,12 @@ import (
 	"spotfi/internal/csi"
 	"spotfi/internal/geom"
 	"spotfi/internal/rf"
-	"spotfi/internal/sense"
 	"spotfi/internal/sim"
 )
 
-func burst(moving bool, n int, seed int64) []*csi.Packet {
+// burst synthesizes n packets on a fixed multipath link; moving toggles
+// the per-packet reflector jitter that models people near the link.
+func burst(moving bool, n int, seed int64) ([]*csi.Packet, error) {
 	band := rf.DefaultBand()
 	array := rf.DefaultArray(band)
 	env := &sim.Environment{
@@ -47,13 +48,13 @@ func burst(moving bool, n int, seed int64) []*csi.Packet {
 	}
 	syn, err := sim.NewSynthesizer(link, band, array, imp, rng)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return syn.Burst("sense", n)
+	return syn.Burst("sense", n), nil
 }
 
 func main() {
-	det, err := sense.New(sense.DefaultConfig())
+	det, err := NewDetector(DefaultDetectorConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,11 @@ func main() {
 	fmt.Printf("%-20s %-8s %s\n", "phase", "score", "decision")
 	for _, ph := range phases {
 		det.Reset()
-		for _, p := range burst(ph.moving, ph.packets, int64(len(ph.name))) {
+		pkts, err := burst(ph.moving, ph.packets, int64(len(ph.name)))
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, p := range pkts {
 			dec, done, err := det.Add(p.CSI)
 			if err != nil {
 				log.Fatal(err)

@@ -2,7 +2,7 @@
 //
 // The target walks a rectangular patrol route; at each waypoint it
 // transmits a short burst, SpotFi localizes it, and a constant-velocity
-// Kalman filter (internal/track) fuses the fixes into a motion track —
+// Kalman filter (kalman.go) fuses the fixes into a motion track —
 // the "motion tracing" application the paper's conclusion points to.
 //
 //	go run ./examples/tracking [-steps N] [-packets N]
@@ -20,7 +20,6 @@ import (
 	"spotfi/internal/sim"
 	"spotfi/internal/stats"
 	"spotfi/internal/testbed"
-	"spotfi/internal/track"
 )
 
 func main() {
@@ -42,7 +41,7 @@ func main() {
 	route := patrol(*steps)
 
 	var raw, smooth []float64
-	tracker, err := track.New(track.DefaultConfig())
+	tracker, err := NewFilter(DefaultFilterConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +65,7 @@ func main() {
 			continue
 		}
 		// Kalman update: each waypoint is ~2 s apart.
-		state, err := tracker.Update(track.Fix{T: 2 * float64(i), Pos: fix.Point})
+		state, err := tracker.Update(Fix{T: 2 * float64(i), Pos: fix.Point})
 		if err != nil {
 			log.Fatal(err)
 		}

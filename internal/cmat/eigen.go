@@ -13,8 +13,10 @@ import (
 type EigenDecomposition struct {
 	Values  []float64
 	Vectors [][]complex128
-	// Sweeps is the number of full Jacobi sweeps the iteration ran before
-	// converging — a conditioning diagnostic surfaced in burst traces.
+	// Sweeps is the number of iterations the solver ran before
+	// converging — full Jacobi sweeps for EigHermitianInto, subspace
+	// iterations for TopEigenInto — a conditioning diagnostic surfaced in
+	// burst traces.
 	Sweeps int
 }
 

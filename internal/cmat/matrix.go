@@ -54,15 +54,6 @@ func FromRows(rows [][]complex128) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
-}
-
 // Reshape returns a zeroed rows×cols matrix, reusing m's backing storage
 // when its capacity suffices. Pass nil (or any previous scratch matrix) to
 // size workspace arenas without allocating in steady state. The returned

@@ -76,21 +76,6 @@ func TestFromRowsRaggedPanics(t *testing.T) {
 	FromRows([][]complex128{{1, 2}, {3}})
 }
 
-func TestIdentity(t *testing.T) {
-	m := Identity(4)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			want := complex128(0)
-			if i == j {
-				want = 1
-			}
-			if m.At(i, j) != want {
-				t.Fatalf("I[%d][%d] = %v", i, j, m.At(i, j))
-			}
-		}
-	}
-}
-
 func TestMulAgainstHandComputed(t *testing.T) {
 	a := FromRows([][]complex128{{1, 2i}, {3, 4}})
 	b := FromRows([][]complex128{{5, 6}, {7, 8i}})
@@ -111,8 +96,11 @@ func TestMulAgainstHandComputed(t *testing.T) {
 func TestMulIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := randomMatrix(rng, 5, 7)
-	left := Identity(5).Mul(a)
-	right := a.Mul(Identity(7))
+	i5, i7 := New(5, 5), New(7, 7)
+	i5.SetIdentity()
+	i7.SetIdentity()
+	left := i5.Mul(a)
+	right := a.Mul(i7)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 7; j++ {
 			if !almostEqual(left.At(i, j), a.At(i, j), 1e-12) || !almostEqual(right.At(i, j), a.At(i, j), 1e-12) {

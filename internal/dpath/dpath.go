@@ -17,9 +17,10 @@ import (
 )
 
 // Weights are the Eq. 8 scale factors: likelihood_k =
-// exp(WCount·C̄_k − WAoAVar·σ̄θ_k − WToFVar·σ̄τ_k − WToFMean·τ̄_k).
+// exp(WCount·C_k − WAoAVar·σ̄θ_k − WToFVar·σ̄τ_k − WToFMean·τ̄_k).
 // Variances and the mean ToF are measured in the normalized [0,1] feature
-// space, counts in points.
+// space. C_k is the cluster's raw point count, not the paper's normalized
+// C̄_k, so the count term grows with burst size.
 type Weights struct {
 	WCount   float64
 	WAoAVar  float64
@@ -36,8 +37,8 @@ func DefaultWeights() Weights {
 }
 
 // Score computes the Eq. 8 likelihood of a candidate under weights w, with
-// σ̄ and τ̄ in normalized units so the weights are scale-free:
-// exp(WCount·C̄ − WAoAVar·σ̄θ − WToFVar·σ̄τ − WToFMean·τ̄).
+// σ̄ and τ̄ in normalized units and C the raw cluster point count:
+// exp(WCount·C − WAoAVar·σ̄θ − WToFVar·σ̄τ − WToFMean·τ̄).
 func (w Weights) Score(c Candidate) float64 {
 	return math.Exp(
 		w.WCount*float64(c.Count) -

@@ -7,8 +7,11 @@ import "math"
 // separation, grid extent, peak yield) that burst traces attach to the
 // estimate span so a bad localization can be attributed to its stage.
 type Diag struct {
-	// EigenSweeps is the number of Jacobi sweeps the covariance
-	// eigendecomposition ran.
+	// EigenSweeps is the iteration count of the covariance eigensolver.
+	// For MUSIC it counts cmat.TopEigenInto's subspace iterations, or the
+	// Jacobi sweeps when that solver falls back to the full
+	// decomposition; for ESPRIT it counts the Jacobi sweeps on the
+	// antenna covariance.
 	EigenSweeps int
 	// SignalDim is the estimated signal-subspace dimension (number of
 	// resolvable paths, Algorithm 2 line 5).
@@ -19,14 +22,14 @@ type Diag struct {
 	// fragile.
 	EigenGapDB float64
 	// GridTheta and GridTau are the MUSIC search-grid extents (zero for
-	// the search-free JADE path).
+	// the search-free ESPRIT path).
 	GridTheta, GridTau int
 	// Peaks is the number of spectrum peaks found before truncation to
 	// the signal dimension.
 	Peaks int
 	// CellsSwept is the number of (θ, τ) grid cells the sweep evaluated:
 	// always GridTheta·GridTau for MUSIC, which sweeps the whole grid;
-	// zero for search-free paths (JADE, ESPRIT).
+	// zero for the search-free ESPRIT path.
 	CellsSwept int
 }
 

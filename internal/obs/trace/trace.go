@@ -46,7 +46,7 @@ const (
 	StageAP = "ap"
 	// StageSanitize is Algorithm 1 ToF sanitization for one packet.
 	StageSanitize = "sanitize"
-	// StageEstimate is super-resolution (MUSIC/JADE) for one packet.
+	// StageEstimate is super-resolution (MUSIC or ESPRIT) for one packet.
 	StageEstimate = "estimate"
 	// StageCluster is Gaussian-means clustering over a burst's estimates.
 	StageCluster = "cluster"

@@ -77,29 +77,6 @@ type AP struct {
 	NormalAngle float64
 }
 
-// EstimatorKind selects the stage-1 super-resolution algorithm.
-type EstimatorKind int
-
-// Estimator kinds.
-const (
-	// EstimatorMUSIC is the paper's 2-D grid MUSIC (default).
-	EstimatorMUSIC EstimatorKind = iota
-	// EstimatorJADE is the search-free shift-invariance joint estimator —
-	// ~100× faster per packet, slightly less robust in deep multipath.
-	EstimatorJADE
-)
-
-func (k EstimatorKind) String() string {
-	switch k {
-	case EstimatorMUSIC:
-		return "music"
-	case EstimatorJADE:
-		return "jade"
-	default:
-		return "unknown"
-	}
-}
-
 // SelectionScheme picks the direct path among clustered candidates.
 type SelectionScheme int
 
@@ -136,8 +113,6 @@ type Config struct {
 	Locate locate.Config
 	// Selection picks the direct-path rule (default SpotFi likelihood).
 	Selection SelectionScheme
-	// Estimator picks the stage-1 algorithm (default grid MUSIC).
-	Estimator EstimatorKind
 	// Sanitize toggles Algorithm 1 (default on; off only for ablation).
 	Sanitize bool
 	// Workers bounds pipeline parallelism; 0 means GOMAXPROCS.
@@ -160,8 +135,8 @@ type Config struct {
 	// and the /debug/quality scoreboard (see quality.NewMonitor). Nil
 	// records nothing.
 	QualityMonitor *quality.Monitor
-	// FastPath gates the ESPRIT-first estimation fast path (MUSIC
-	// estimator only). Disabled by default.
+	// FastPath gates the ESPRIT-first estimation fast path. Disabled by
+	// default.
 	FastPath FastPathConfig
 	// ModeLabel names this Localizer's rung on the server's degradation
 	// ladder (e.g. "full", "fastpath", "coarse"). When non-empty it is
@@ -326,7 +301,6 @@ type Localizer struct {
 	cfg    Config
 	pool   sync.Pool // of *music.Estimator, all built from cfg.Music
 	esprit *music.ESPRIT
-	jade   *music.JADE
 	aps    map[int]AP
 }
 
@@ -339,15 +313,8 @@ func New(cfg Config, aps []AP) (*Localizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	var jade *music.JADE
-	if cfg.Estimator == EstimatorJADE {
-		jade, err = music.NewJADE(cfg.Music)
-		if err != nil {
-			return nil, err
-		}
-	}
 	var esprit *music.ESPRIT
-	if cfg.FastPath.Enabled && jade == nil {
+	if cfg.FastPath.Enabled {
 		if cfg.FastPath.MinEigenGapDB == 0 {
 			cfg.FastPath.MinEigenGapDB = defaultFastPathMinEigenGapDB
 		}
@@ -391,7 +358,7 @@ func New(cfg Config, aps []AP) (*Localizer, error) {
 		// the time.Now calls.
 		cfg.Metrics = &PipelineMetrics{}
 	}
-	l := &Localizer{cfg: cfg, esprit: esprit, jade: jade, aps: m}
+	l := &Localizer{cfg: cfg, esprit: esprit, aps: m}
 	l.pool.New = func() any {
 		e, err := music.NewEstimator(l.cfg.Music)
 		if err != nil {
@@ -462,10 +429,11 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 	works, prepErrs, stoNs := l.prepBurst(apID, pkts, apSpan)
 
 	if l.esprit != nil {
-		rep, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, estimatorESPRITKind)
+		rep, failed, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, estimatorESPRIT)
 		if err == nil && rep.EigenGapDB >= l.cfg.FastPath.MinEigenGapDB && rep.Margin >= l.cfg.FastPath.MinMargin {
-			apSpan.SetStr("estimator", estimatorESPRITKind)
+			apSpan.SetStr("estimator", estimatorESPRIT)
 			apSpan.SetInt("fast_path", 1)
+			l.countPackets(len(pkts), failed)
 			l.cfg.Metrics.FastPathAccepted.Inc()
 			l.cfg.Metrics.BurstsProcessed.Inc()
 			return rep, nil
@@ -473,12 +441,9 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 		l.cfg.Metrics.FastPathFallbacks.Inc()
 	}
 
-	kind := EstimatorMUSIC.String()
-	if l.jade != nil {
-		kind = EstimatorJADE.String()
-	}
-	apSpan.SetStr("estimator", kind)
-	rep, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, kind)
+	apSpan.SetStr("estimator", estimatorMUSIC)
+	rep, failed, err := l.estimateAndCluster(apID, pkts, works, prepErrs, stoNs, rssiSum, apSpan, estimatorMUSIC)
+	l.countPackets(len(pkts), failed)
 	if err != nil {
 		l.cfg.Metrics.BurstFailures.Inc()
 		return nil, err
@@ -487,9 +452,19 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 	return rep, nil
 }
 
-// estimatorESPRITKind labels the fast-path estimator in spans; the MUSIC
-// and JADE labels come from EstimatorKind.String.
-const estimatorESPRITKind = "esprit"
+// Estimator labels stamped on the AP and estimate spans.
+const (
+	estimatorMUSIC  = "music"
+	estimatorESPRIT = "esprit"
+)
+
+// countPackets records one burst's packet outcomes. A burst that falls
+// back from the fast path is estimated twice but counted once, from the
+// pass whose result decides the burst.
+func (l *Localizer) countPackets(n, failed int) {
+	l.cfg.Metrics.PacketFailures.Add(uint64(failed))
+	l.cfg.Metrics.PacketsProcessed.Add(uint64(n - failed))
+}
 
 // prepBurst runs the per-packet preparation stage — clone, per-AP
 // calibration, Algorithm 1 sanitization — in parallel. It returns the
@@ -541,10 +516,10 @@ func (l *Localizer) prepBurst(apID int, pkts []*Packet, apSpan *trace.Span) ([]*
 }
 
 // estimateAndCluster runs stages 1–2 over already-prepped packets with the
-// named estimator and assembles the APReport. It increments the per-packet
-// counters (each estimation pass is real work) but leaves the burst
+// named estimator and assembles the APReport. It also returns how many
+// packets failed prep or estimation, and leaves the packet and burst
 // counters to the caller, which knows whether this pass's result was kept.
-func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMatrix, prepErrs []error, stoNs []float64, rssiSum float64, apSpan *trace.Span, kind string) (*APReport, error) {
+func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMatrix, prepErrs []error, stoNs []float64, rssiSum float64, apSpan *trace.Span, kind string) (*APReport, int, error) {
 	perPacket := make([][]PathEstimate, len(pkts))
 	errs := make([]error, len(pkts))
 	copy(errs, prepErrs)
@@ -572,12 +547,9 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 			var est []PathEstimate
 			var diag music.Diag
 			var err error
-			switch kind {
-			case estimatorESPRITKind:
+			if kind == estimatorESPRIT {
 				est, diag, err = l.esprit.EstimatePathsDiag(work)
-			case "jade":
-				est, diag, err = l.jade.EstimatePathsDiag(work)
-			default:
+			} else {
 				est, diag, err = l.estimateMUSIC(work)
 			}
 			l.cfg.Metrics.EstimateSeconds.ObserveSince(start)
@@ -606,10 +578,8 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 			failed++
 		}
 	}
-	l.cfg.Metrics.PacketFailures.Add(uint64(failed))
-	l.cfg.Metrics.PacketsProcessed.Add(uint64(len(pkts) - failed))
 	if failed == len(pkts) {
-		return nil, fmt.Errorf("spotfi: every packet in the burst failed estimation: %v", firstError(errs))
+		return nil, failed, fmt.Errorf("spotfi: every packet in the burst failed estimation: %v", firstError(errs))
 	}
 
 	// Clustering seed derived from the burst identity, not from a shared
@@ -622,7 +592,7 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 	l.cfg.Metrics.ClusterSeconds.ObserveSince(start)
 	if err != nil {
 		csp.End()
-		return nil, err
+		return nil, failed, err
 	}
 	csp.SetInt("clusters", int64(len(res.Candidates)))
 	csp.End()
@@ -649,7 +619,7 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 		cand, ok = res.Best()
 	}
 	if !ok {
-		return nil, fmt.Errorf("spotfi: no direct-path candidate for AP %d", apID)
+		return nil, failed, fmt.Errorf("spotfi: no direct-path candidate for AP %d", apID)
 	}
 	sel.SetFloat("aoa_deg", cand.AoA*180/math.Pi)
 	sel.SetFloat("tof_ns", cand.ToF*1e9)
@@ -668,7 +638,7 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 		EigenGapDB:  gapMean,
 		STOMeanNs:   stoMean,
 		STOJitterNs: stoStd,
-	}, nil
+	}, failed, nil
 }
 
 // meanStd returns the mean and population standard deviation of the finite

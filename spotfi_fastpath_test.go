@@ -1,6 +1,7 @@
 package spotfi
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,43 +37,70 @@ func officeBursts(t *testing.T, d *testbed.Deployment, target, packets int) map[
 
 // TestFastPathCountersPartition checks that with the ESPRIT fast path
 // enabled, every burst either lands in the accepted counter or the
-// fallback counter — never both, never neither — and that the pipeline
+// fallback counter — never both, never neither — that every packet is
+// counted exactly once as processed or failed, even when a burst is
+// estimated twice because it fell back to MUSIC, and that the pipeline
 // still produces a usable location.
 func TestFastPathCountersPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline run")
 	}
 	d := testbed.Office(11)
-	reg := obs.NewRegistry()
-	cfg := DefaultConfig(d.Bounds)
-	cfg.Workers = 2
-	cfg.FastPath = FastPathConfig{Enabled: true}
-	cfg.Metrics = NewPipelineMetrics(reg)
-	loc, err := New(cfg, deploymentAPs(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bursts := officeBursts(t, d, 0, 6)
-	p, reports, skipped, err := loc.LocalizeBursts(bursts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped) != 0 {
-		t.Fatalf("skipped APs with fast path on: %v", skipped)
-	}
-	if len(reports) != len(bursts) {
-		t.Fatalf("got %d reports for %d bursts", len(reports), len(bursts))
-	}
-	if !d.Bounds.Contains(p.Point) {
-		t.Fatalf("estimate %v outside bounds", p.Point)
-	}
-	acc := cfg.Metrics.FastPathAccepted.Value()
-	fb := cfg.Metrics.FastPathFallbacks.Value()
-	if acc+fb != uint64(len(bursts)) {
-		t.Fatalf("accepted(%d)+fallback(%d) != bursts(%d)", acc, fb, len(bursts))
-	}
-	if got := cfg.Metrics.BurstsProcessed.Value(); got != uint64(len(bursts)) {
-		t.Fatalf("BurstsProcessed = %d, want %d", got, len(bursts))
+	for _, tc := range []struct {
+		name string
+		fp   FastPathConfig
+	}{
+		{"default-gates", FastPathConfig{Enabled: true}},
+		{"forced-fallback", FastPathConfig{Enabled: true, MinEigenGapDB: 1e9, MinMargin: 1e9}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := DefaultConfig(d.Bounds)
+			cfg.Workers = 2
+			cfg.FastPath = tc.fp
+			cfg.Metrics = NewPipelineMetrics(reg)
+			loc, err := New(cfg, deploymentAPs(d))
+			if err != nil {
+				t.Fatal(err)
+			}
+			bursts := officeBursts(t, d, 0, 6)
+			// One packet per burst fails Algorithm 1, so a fallback that
+			// re-counted prep failures would show up in PacketFailures.
+			pktsIn := 0
+			for _, b := range bursts {
+				b[0].CSI.Values[1][1] = complex(math.Inf(1), 0)
+				pktsIn += len(b)
+			}
+			p, reports, skipped, err := loc.LocalizeBursts(bursts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(skipped) != 0 {
+				t.Fatalf("skipped APs with fast path on: %v", skipped)
+			}
+			if len(reports) != len(bursts) {
+				t.Fatalf("got %d reports for %d bursts", len(reports), len(bursts))
+			}
+			if !d.Bounds.Contains(p.Point) {
+				t.Fatalf("estimate %v outside bounds", p.Point)
+			}
+			acc := cfg.Metrics.FastPathAccepted.Value()
+			fb := cfg.Metrics.FastPathFallbacks.Value()
+			if acc+fb != uint64(len(bursts)) {
+				t.Fatalf("accepted(%d)+fallback(%d) != bursts(%d)", acc, fb, len(bursts))
+			}
+			if got := cfg.Metrics.BurstsProcessed.Value(); got != uint64(len(bursts)) {
+				t.Fatalf("BurstsProcessed = %d, want %d", got, len(bursts))
+			}
+			proc := cfg.Metrics.PacketsProcessed.Value()
+			fail := cfg.Metrics.PacketFailures.Value()
+			if proc+fail != uint64(pktsIn) {
+				t.Fatalf("processed(%d)+failures(%d) != packets in (%d); fallbacks %d", proc, fail, pktsIn, fb)
+			}
+			if fail != uint64(len(bursts)) {
+				t.Fatalf("PacketFailures = %d, want one per burst (%d)", fail, len(bursts))
+			}
+		})
 	}
 }
 

@@ -220,6 +220,19 @@ func TestTracedLiveSystemEndToEnd(t *testing.T) {
 			t.Fatalf("estimate span lacks %s: %v", key, esp.Attrs)
 		}
 	}
+	// The serving-graph ledger counts MUSIC packets by the estimator label
+	// and sums cells_swept, so both must describe the full grid sweep.
+	if est, _ := esp.Attrs["estimator"].(string); est != "music" {
+		t.Fatalf("estimate span estimator = %q, want \"music\": %v", est, esp.Attrs)
+	}
+	attrInt := func(key string) int {
+		v, _ := esp.Attrs[key].(float64)
+		return int(v)
+	}
+	theta, tau, cells := attrInt("grid_theta"), attrInt("grid_tau"), attrInt("cells_swept")
+	if theta <= 0 || tau <= 0 || cells != theta*tau {
+		t.Fatalf("estimate span cells_swept = %d, want grid_theta·grid_tau = %d·%d", cells, theta, tau)
+	}
 
 	// The per-stage latency histograms on /metrics saw the same spans.
 	rec := httptest.NewRecorder()
