@@ -24,12 +24,17 @@ type Diag struct {
 	// GridTheta and GridTau are the MUSIC search-grid extents (zero for
 	// the search-free ESPRIT path).
 	GridTheta, GridTau int
-	// Peaks is the number of spectrum peaks found before truncation to
-	// the signal dimension.
+	// Peaks is the number of spectrum peaks found before deduplication
+	// and truncation to the signal dimension: interior cells no
+	// neighbour's P exceeds. A plateaued spectrum makes it large. Zero
+	// for the search-free ESPRIT path.
 	Peaks int
-	// CellsSwept is the number of (θ, τ) grid cells the sweep evaluated:
-	// always GridTheta·GridTau for MUSIC, which sweeps the whole grid;
-	// zero for the search-free ESPRIT path.
+	// CellsSwept is the number of MUSIC cell denominators the sweep
+	// evaluated. Each interior τ-column evaluates its candidate rows and
+	// their θ-neighbours in itself and both neighbouring columns: about
+	// 2,400 on noisy multipath for the default grid's 36,381 cells, and
+	// up to three per cell when no row can be ruled out. Zero for the
+	// search-free ESPRIT path.
 	CellsSwept int
 }
 

@@ -23,9 +23,9 @@ type Spectrum struct {
 // CSI matrices.
 //
 // Concurrency contract: an Estimator owns mutable workspace arenas (the
-// smoothed-CSI matrix, the eigendecomposition scratch, the sweep's column
-// ring), so it is single-goroutine — one goroutine per Estimator at a
-// time. The expensive pure-geometry precomputation (grids and steering
+// smoothed-CSI matrix, the eigendecomposition scratch, the sweep's
+// column forms), so it is single-goroutine — one goroutine per Estimator
+// at a time. The expensive pure-geometry precomputation (grids and steering
 // powers) lives in a shared read-only steeringTable obtained from the
 // package steering cache, so constructing extra estimators for extra
 // goroutines is cheap; callers that fan out across goroutines should keep
@@ -51,14 +51,13 @@ type Estimator struct {
 	vecs [][]complex128
 	cut  int
 
-	// w[k*subAnt+a] = v_k[a-th block]ᴴ·o(τ) and qp[c] = q_ab (a<b) for
-	// the τ-column being evaluated.
-	w  []complex128
+	// w[k*subAnt+a] = v_k[a-th block]ᴴ·o(τ) for the τ-column being
+	// formed.
+	w []complex128
+	// qd[j%3] and qp[(j%3)·nPair:] hold the block forms of the last
+	// three τ-columns: Σ_a q_aa and q_ab (a<b) of column j.
+	qd [3]float64
 	qp []complex128
-
-	// ring holds the clamped MUSIC denominators of the last three
-	// τ-columns: column j lives at ring[(j%3)·nt : (j%3+1)·nt].
-	ring []float64
 
 	// Peak-finding scratch.
 	scratch []PathEstimate
@@ -77,8 +76,7 @@ func NewEstimator(p Params) (*Estimator, error) {
 		thetas:  tab.thetas,
 		taus:    tab.taus,
 		w:       make([]complex128, p.MaxPaths*tab.subAnt),
-		qp:      make([]complex128, tab.nPair),
-		ring:    make([]float64, 3*len(tab.thetas)),
+		qp:      make([]complex128, 3*tab.nPair),
 		scratch: make([]PathEstimate, 0, 32),
 	}
 	return e, nil
@@ -104,15 +102,15 @@ func (e *Estimator) EstimatePathsDiag(c *csi.Matrix) ([]PathEstimate, Diag, erro
 	if err != nil {
 		return nil, Diag{}, err
 	}
-	peaks := e.sweep(dim, nil)
+	peaks, found, cells := e.sweep(dim)
 	d := Diag{
 		EigenSweeps: eig.Sweeps,
 		SignalDim:   dim,
 		EigenGapDB:  eigenGapDB(eig.Values, dim),
 		GridTheta:   len(e.thetas),
 		GridTau:     len(e.taus),
-		Peaks:       len(peaks),
-		CellsSwept:  len(e.thetas) * len(e.taus),
+		Peaks:       found,
+		CellsSwept:  cells,
 	}
 	out := make([]PathEstimate, len(peaks))
 	copy(out, peaks)
@@ -124,13 +122,18 @@ func (e *Estimator) EstimatePathsDiag(c *csi.Matrix) ([]PathEstimate, Diag, erro
 // consume. The returned spectrum is a fresh copy, unaffected by later
 // estimator calls.
 func (e *Estimator) Spectrum(c *csi.Matrix) (*Spectrum, error) {
-	dim, _, err := e.prepare(c)
-	if err != nil {
+	if _, _, err := e.prepare(c); err != nil {
 		return nil, err
 	}
 	nt, nu := len(e.thetas), len(e.taus)
 	flat := make([]float64, nt*nu)
-	e.sweep(dim, flat)
+	qp := e.qp[:e.tab.nPair]
+	for j := 0; j < nu; j++ {
+		qd := e.columnQ(j, qp)
+		for i := 0; i < nt; i++ {
+			flat[i*nu+j] = 1 / e.tab.cellDenom(i, qd, qp)
+		}
+	}
 	spec := &Spectrum{Thetas: e.thetas, Taus: e.taus, P: make([][]float64, nt)}
 	for i := range spec.P {
 		spec.P[i] = flat[i*nu : (i+1)*nu]
@@ -175,14 +178,14 @@ func (e *Estimator) prepare(c *csi.Matrix) (int, *cmat.EigenDecomposition, error
 // fl(1/d_n) > fl(1/d), so the strict peak rule would reject the cell too.
 const undercut = 1 - 0x1p-46
 
-// sweep is the dense MUSIC sweep, streamed over the τ-columns in order.
-// Each column's cells hold only the clamped denominator of P = 1/d in a
-// three-column ring; once column j+1 exists, the interior cells of
-// column j that no neighbour undercuts become candidates, confirmed with
-// the strict 8-neighbour rule on 1/d and refined from the ring. The
-// returned peaks — the top count by power, deduplicated — alias the
-// estimator's scratch arena. When spec is non-nil it receives P for
-// every cell, flattened row-major by θ.
+// sweep finds the peaks of the MUSIC pseudo-spectrum P = 1/d, streamed
+// over the τ-columns in order. Only the block forms of the last three
+// columns are kept; once column j+1's are formed, the rows of column j that
+// candidateRows cannot rule out are tested with isPeak on their 3×3
+// neighbourhood, computed on demand, and the peaks refined from it. It
+// returns the top count peaks by power, deduplicated (aliasing the
+// estimator's scratch arena), the number of peaks found before that
+// selection, and the number of cell denominators evaluated.
 //
 // Grid-edge cells are never peaks: a maximum at the ±90° AoA edge (array
 // endfire, where a ULA has no resolution) or at the ToF search boundary
@@ -191,66 +194,109 @@ const undercut = 1 - 0x1p-46
 // tight cluster.
 //
 //spotfi:noalloc
-func (e *Estimator) sweep(count int, spec []float64) []PathEstimate {
-	nu := len(e.taus)
-	peaks := e.scratch[:0]
-	for j := 0; j < nu; j++ {
-		col := e.ringCol(j)
-		e.column(j, col)
-		if spec != nil {
-			for i, d := range col {
-				spec[i*nu+j] = 1 / d
-			}
+func (e *Estimator) sweep(count int) (peaks []PathEstimate, found, cells int) {
+	peaks = e.scratch[:0]
+	var spans [2]rowSpan
+	for j := range e.taus {
+		e.qd[j%3] = e.columnQ(j, e.forms(j))
+		if j < 2 {
+			continue
 		}
-		if j >= 2 {
-			peaks = e.columnPeaks(peaks, j-1)
+		c := j - 1
+		for _, sp := range e.tab.candidateRows(e.qd[c%3], e.forms(c), spans[:0]) {
+			var n int
+			peaks, n = e.searchRows(peaks, c, sp)
+			cells += n
 		}
 	}
 	e.scratch = peaks[:0]
 	rTheta, rTau := e.p.dedupeRadii()
-	return selectPeaks(peaks, count, rTheta, rTau)
+	return selectPeaks(peaks, count, rTheta, rTau), len(peaks), cells
 }
 
-// ringCol returns column j's slot in the denominator ring.
+// forms returns column j's slot for its off-diagonal block forms.
 //
 //spotfi:noalloc
-func (e *Estimator) ringCol(j int) []float64 {
-	nt := len(e.thetas)
+func (e *Estimator) forms(j int) []complex128 {
+	n := e.tab.nPair
 	s := j % 3
-	return e.ring[s*nt : (s+1)*nt]
+	return e.qp[s*n : (s+1)*n]
 }
 
-// column writes the clamped denominators of τ-column j into col: the
-// Kronecker decomposition of Eq. 7 reduces each cell to nPair complex
-// multiplies of the column's block forms against the per-theta antenna
-// pair products.
+// searchRows appends the refined peaks among rows sp.lo…sp.hi of interior
+// τ-column j, whose neighbours' forms are in the estimator, and returns
+// the number of denominators it evaluated. A three-row window slides
+// down the rows, so each cell of rows sp.lo−1…sp.hi+1 in columns j−1, j
+// and j+1 is evaluated once.
 //
 //spotfi:noalloc
-func (e *Estimator) column(j int, col []float64) {
-	qd := e.columnQ(j)
-	qp, pair := e.qp, e.tab.pair
-	if len(qp) == 1 {
-		// One antenna pair, the paper's 2-antenna window: the same
-		// arithmetic without the per-cell pair loop. On a 2-vCPU VM a
-		// single loop for every pair count, with the pair table cell-major
-		// or transposed, cost about 7% more batch40 CPU per fix.
-		q := qp[0]
-		for i, p := range pair[:len(col)] {
-			var cross float64
-			cross += real(p)*real(q) - imag(p)*imag(q)
-			col[i] = clampDenom(qd + 2*cross)
-		}
-		return
+func (e *Estimator) searchRows(peaks []PathEstimate, j int, sp rowSpan) ([]PathEstimate, int) {
+	var qd [3]float64
+	var qp [3][]complex128
+	for b := range qd {
+		k := j - 1 + b
+		qd[b], qp[b] = e.qd[k%3], e.forms(k)
 	}
-	nPair := len(qp)
-	for i := range col {
-		pr := pair[i*nPair : (i+1)*nPair]
-		var cross float64
-		for c, qc := range qp {
-			cross += real(pr[c])*real(qc) - imag(pr[c])*imag(qc)
+	// win[a][b] is the denominator of row r−2+a in column j−1+b.
+	var win [3][3]float64
+	for r := sp.lo - 1; r <= sp.hi+1; r++ {
+		win[0], win[1] = win[1], win[2]
+		for b := range win[2] {
+			win[2][b] = e.tab.cellDenom(r, qd[b], qp[b])
 		}
-		col[i] = clampDenom(qd + 2*cross)
+		i := r - 1
+		if i < sp.lo || !isPeak(&win) {
+			continue
+		}
+		theta := refineAxis(e.thetas, i, func(k int) float64 { return 1 / win[k-i+1][1] })
+		tau := refineAxis(e.taus, j, func(k int) float64 { return 1 / win[1][k-j+1] })
+		peaks = append(peaks, PathEstimate{AoA: theta, ToF: tau, Power: 1 / win[1][1]})
 	}
+	return peaks, 3 * (sp.hi - sp.lo + 3)
+}
+
+// isPeak reports whether the centre of a 3×3 block of clamped
+// denominators is a peak of P = 1/d: no neighbour's 1/d exceeds the
+// centre's. A neighbour that undercuts the centre by the margin rules it
+// out without a division; the survivors are confirmed on 1/d. The centre
+// never rules itself out, so the loops need not skip it.
+//
+//spotfi:noalloc
+func isPeak(n *[3][3]float64) bool {
+	t := n[1][1] * undercut
+	for _, row := range n {
+		for _, d := range row {
+			if d < t {
+				return false
+			}
+		}
+	}
+	v := 1 / n[1][1]
+	for _, row := range n {
+		for _, d := range row {
+			if 1/d > v {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// cellDenom returns the clamped MUSIC denominator of θ row i in the
+// τ-column whose block forms are qd and qp: the Kronecker decomposition
+// of Eq. 7 reduces each cell to nPair complex multiplies of the column's
+// forms against the row's antenna pair products. Every denominator the
+// sweep and Spectrum use comes from here, so all of them round alike
+// whether or not the compiler fuses the multiply-adds.
+//
+//spotfi:noalloc
+func (t *steeringTable) cellDenom(i int, qd float64, qp []complex128) float64 {
+	pr := t.pair[i*len(qp) : (i+1)*len(qp)]
+	var cross float64
+	for c, qc := range qp {
+		cross += real(pr[c])*real(qc) - imag(pr[c])*imag(qc)
+	}
+	return clampDenom(qd + 2*cross)
 }
 
 // clampDenom floors a MUSIC denominator at 1e-18, so P = 1/d stays finite
@@ -264,41 +310,101 @@ func clampDenom(d float64) float64 {
 	return d
 }
 
-// columnPeaks appends the refined peaks of interior τ-column j, whose
-// neighbours j−1 and j+1 are in the ring.
+// rowSpan is an inclusive range of θ rows.
+type rowSpan struct{ lo, hi int }
+
+// psiSlack widens the bracket around each computed shift of the minimum
+// phase π − arg q. Its rounding is a few ulps of magnitudes up to 4π,
+// far below the slack, so the bracket holds the exact shift.
+const psiSlack = 0x1p-40
+
+// candidateRows appends to dst, in ascending disjoint spans, the interior
+// rows of a τ-column with block forms (qd, qp) that can be peaks: every
+// row it leaves out has a θ-neighbour in the column that undercuts it by
+// the prefilter's margin.
+//
+// With one antenna pair a cell is d_i = clamp(qd + 2·Re(p_i·q)) with
+// p_i ≈ e^{jψ_i}. Before the clamp it lies within E = 2⁻⁴⁷·(|qd| + 2|q|)
+// of qd + 2|q|·cos(ψ_i + arg q): the rounding of the cell's products and
+// sums, of p_i and of ψ_i adds up to about 24 ulps of |qd| + 2|q|, and E
+// allows 64. Between neighbours n and i with mid-phase μ the cosine form
+// differs by −4|q|·sin(μ + arg q)·sin((ψ_i − ψ_n)/2), so a row whose
+// neighbourhood [ψ_{i+1}, ψ_{i−1}] holds no 2π-shift of the minimum
+// phase π − arg q has a neighbour lower by at least 4|q|·s_min². When
+// that exceeds tol = 2E + 2⁻⁴⁵·(|qd| + 2|q|) — both cells' error plus the
+// 2⁻⁴⁶ margin on d ≤ |qd| + 2|q| + E, with room for rounding — and the
+// clamp cannot act, only the two or three rows bracketing each shift
+// remain. Otherwise (the clamp could act, the bound is too small, a form
+// is not finite, the pair count is not one, or the table has no ψ) every
+// interior row does.
 //
 //spotfi:noalloc
-func (e *Estimator) columnPeaks(peaks []PathEstimate, j int) []PathEstimate {
-	l, m, r := e.ringCol(j-1), e.ringCol(j), e.ringCol(j+1)
-	for i := 1; i < len(m)-1; i++ {
-		t := m[i] * undercut
-		if m[i-1] < t || m[i+1] < t ||
-			l[i-1] < t || l[i] < t || l[i+1] < t ||
-			r[i-1] < t || r[i] < t || r[i+1] < t {
-			continue
-		}
-		v := 1 / m[i]
-		if 1/m[i-1] > v || 1/m[i+1] > v ||
-			1/l[i-1] > v || 1/l[i] > v || 1/l[i+1] > v ||
-			1/r[i-1] > v || 1/r[i] > v || 1/r[i+1] > v {
-			continue
-		}
-		theta := refineAxis(e.thetas, i, func(k int) float64 { return 1 / m[k] })
-		tau := refineAxis(e.taus, j, func(k int) float64 { return 1 / e.ringCol(k)[i] })
-		peaks = append(peaks, PathEstimate{AoA: theta, ToF: tau, Power: v})
+func (t *steeringTable) candidateRows(qd float64, qp []complex128, dst []rowSpan) []rowSpan {
+	last := len(t.thetas) - 2
+	if last < 1 {
+		return dst
 	}
-	return peaks
+	if t.psi == nil || len(qp) != 1 {
+		return append(dst, rowSpan{1, last})
+	}
+	q := qp[0]
+	aq := cmplx.Abs(q)
+	scale := math.Abs(qd) + 2*aq
+	e := 0x1p-47 * scale
+	tol := 2*e + 0x1p-45*scale
+	// Written negated, the tests also fail on NaN forms, and on infinite
+	// ones, whose E is infinite.
+	if !(qd-2*aq-e > 1e-18) || !(4*aq*t.sMin2 > tol) {
+		return append(dst, rowSpan{1, last})
+	}
+	// ψ lies in [−3π, π] and π − arg q in [0, 2π], so only the shifts by
+	// 0, −2π and −4π can meet the table, in ascending row order. Row i
+	// brackets shift s when ψ_{i+1} < s + slack and ψ_{i−1} > s − slack.
+	psi := t.psi
+	m := math.Pi - cmplx.Phase(q)
+	prev := 0
+	for k := 0; k < 3; k++ {
+		s := m - 2*math.Pi*float64(k)
+		if s-psiSlack >= psi[0] {
+			continue
+		}
+		if s+psiSlack <= psi[len(psi)-1] {
+			break
+		}
+		// a is the first row with ψ below s + slack and b the first at or
+		// below s − slack: a binary search, then a short walk, since ψ
+		// falls strictly with the row.
+		a, n := 0, len(psi)
+		for a < n {
+			mid := int(uint(a+n) >> 1)
+			if psi[mid] < s+psiSlack {
+				n = mid
+			} else {
+				a = mid + 1
+			}
+		}
+		b := a
+		for b < len(psi) && psi[b] > s-psiSlack {
+			b++
+		}
+		lo, hi := max(a-1, prev+1), min(b, last)
+		if lo <= hi {
+			dst = append(dst, rowSpan{lo, hi})
+			prev = hi
+		}
+	}
+	return dst
 }
 
 // columnQ computes the block quadratic forms of τ-column j — the diagonal
-// sum Σ_a q_aa, returned, and the off-diagonal q_ab for a<b, left in qp.
-// Rather than materializing the noise projector E_N·E_Nᴴ, it uses the
+// sum Σ_a q_aa, returned, and the off-diagonal q_ab for a<b, written to
+// qp. Rather than materializing the noise projector E_N·E_Nᴴ, it uses the
 // complement identity P_N = I − Σ_k v_k·v_kᴴ over the few signal
 // eigenvectors: q_ab = δ_ab·‖o‖² − Σ_k conj(w_ka)·w_kb with
 // w_ka = v_k[block a]ᴴ·o(τ_j).
 //
 //spotfi:noalloc
-func (e *Estimator) columnQ(j int) float64 {
+func (e *Estimator) columnQ(j int, qp []complex128) float64 {
 	subAnt, subSub := e.tab.subAnt, e.tab.subSub
 	o := e.tab.omega[j*subSub : (j+1)*subSub]
 	w := e.w[:e.cut*subAnt]
@@ -323,7 +429,7 @@ func (e *Estimator) columnQ(j int) float64 {
 			for k := 0; k < e.cut; k++ {
 				sum += cmplx.Conj(w[k*subAnt+a]) * w[k*subAnt+b]
 			}
-			e.qp[c] = -sum
+			qp[c] = -sum
 			c++
 		}
 	}

@@ -212,12 +212,13 @@ func denseReference(e *Estimator, count int) ([]PathEstimate, []float64) {
 
 // checkAgainstReference estimates c and requires the paths, and the
 // Spectrum when withSpectrum is set, to be finite and equal denseReference
-// bit for bit. An estimation error is returned, not judged.
-func checkAgainstReference(t testing.TB, e *Estimator, c *csi.Matrix, withSpectrum bool) error {
+// bit for bit. It returns the Diag of the estimate; an estimation error is
+// returned, not judged.
+func checkAgainstReference(t testing.TB, e *Estimator, c *csi.Matrix, withSpectrum bool) (Diag, error) {
 	t.Helper()
 	got, d, err := e.EstimatePathsDiag(c)
 	if err != nil {
-		return err
+		return d, err
 	}
 	want, wantSpec := denseReference(e, d.SignalDim)
 	if len(got) != len(want) {
@@ -232,11 +233,13 @@ func checkAgainstReference(t testing.TB, e *Estimator, c *csi.Matrix, withSpectr
 			t.Fatalf("path %d: sweep %+v, dense reference %+v", i, p, want[i])
 		}
 	}
-	if d.CellsSwept != len(wantSpec) {
-		t.Fatalf("CellsSwept = %d, want the grid size %d", d.CellsSwept, len(wantSpec))
+	// Each interior τ-column evaluates at most three columns of every θ
+	// row, when no row can be ruled out.
+	if maxCells := 3 * len(e.thetas) * (len(e.taus) - 2); d.CellsSwept <= 0 || d.CellsSwept > maxCells {
+		t.Fatalf("CellsSwept = %d, want within (0, %d]", d.CellsSwept, maxCells)
 	}
 	if !withSpectrum {
-		return nil
+		return d, nil
 	}
 	spec, err := e.Spectrum(c)
 	if err != nil {
@@ -250,7 +253,43 @@ func checkAgainstReference(t testing.TB, e *Estimator, c *csi.Matrix, withSpectr
 			}
 		}
 	}
-	return nil
+	return d, nil
+}
+
+// TestDiagPeaksCountsCandidates requires Diag.Peaks to count the sweep's
+// peaks before selection: a flat packet, whose underflowed covariance
+// makes every interior cell a peak, reports far more than SignalDim, and
+// a noisy packet at least as many as the paths it returns.
+func TestDiagPeaksCountsCandidates(t *testing.T) {
+	e, err := NewEstimator(DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	interior := (len(e.thetas) - 2) * (len(e.taus) - 2)
+	for n := 0; n < 20; n++ {
+		rng := rand.New(rand.NewSource(int64(n)))
+		paths, gains := randomPaths(rng)
+		c := buildCSI(e.p.Band, e.p.Array, paths, gains)
+		addNoise(c, 0.02+0.28*rng.Float64(), rng)
+		got, d, err := e.EstimatePathsDiag(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Peaks < len(got) {
+			t.Fatalf("noisy packet %d: Peaks = %d, below the %d paths returned", n, d.Peaks, len(got))
+		}
+		for _, row := range c.Values {
+			for s := range row {
+				row[s] *= 1e-160
+			}
+		}
+		if _, d, err = e.EstimatePathsDiag(c); err != nil {
+			t.Fatal(err)
+		}
+		if d.Peaks != interior || d.SignalDim > e.p.MaxPaths {
+			t.Fatalf("flat packet %d: Peaks = %d with SignalDim %d, want every interior cell (%d)", n, d.Peaks, d.SignalDim, interior)
+		}
+	}
 }
 
 // randomPaths draws 1–6 paths spread over ±80° AoA and ±150 ns ToF with
@@ -276,7 +315,11 @@ func randomPaths(rng *rand.Rand) ([]PathEstimate, []complex128) {
 // noiseless packets put every other one's single path exactly on a grid
 // point, where the denominator mostly hits the 1e-18 clamp; the flat ones
 // scale the CSI down until the covariance underflows, so every interior
-// cell ties with its vertical neighbours and is a candidate.
+// cell ties with its vertical neighbours and is a candidate. On the noisy
+// default corpus the sweep must also evaluate fewer than 4,000
+// denominators per packet on average, of the grid's 36,381: a sweep that
+// fell back to every row would still be exact, and only its cost shows
+// it.
 func TestSweepMatchesDenseReference(t *testing.T) {
 	threePairs := DefaultParams()
 	threePairs.SubarrayAntennas = 3
@@ -323,28 +366,29 @@ func TestSweepMatchesDenseReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cells := 0
 			for n := 0; n < cp.packets; n++ {
 				rng := rand.New(rand.NewSource(int64(ci)<<32 | int64(n)))
-				if err := checkAgainstReference(t, e, cp.csi(e, rng, n), n%10 == 0); err != nil {
+				d, err := checkAgainstReference(t, e, cp.csi(e, rng, n), n%10 == 0)
+				if err != nil {
 					t.Fatalf("packet %d: %v", n, err)
 				}
+				cells += d.CellsSwept
+			}
+			if mean := float64(cells) / float64(cp.packets); cp.name == "default" && mean >= 4000 {
+				t.Fatalf("mean %.0f denominators evaluated per packet, want < 4000", mean)
 			}
 		})
 	}
 }
 
-// TestSweepCandidateFilterIsExact plants a cell of denominator d in the
-// ring with one of its eight neighbours just below it, on a background no
-// other cell peaks on, and requires columnPeaks to obey the strict rule
-// on 1/d. A neighbour whose reciprocal ties the cell's must not rule the
-// cell out, however close below d it is; one inside the filter's 2⁻⁴⁶
-// margin whose reciprocal is larger must.
+// TestSweepCandidateFilterIsExact plants a cell of denominator d with one
+// of its eight neighbours just below it, on a background no other cell
+// peaks on, and requires isPeak to obey the strict rule on 1/d down the
+// middle τ-column. A neighbour whose reciprocal ties the cell's must not
+// rule the cell out, however close below d it is; one inside the filter's
+// 2⁻⁴⁶ margin whose reciprocal is larger must.
 func TestSweepCandidateFilterIsExact(t *testing.T) {
-	e, err := NewEstimator(DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const i, j = 90, 100
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		d := math.Ldexp(1+rng.Float64(), rng.Intn(60)-30)
@@ -359,16 +403,26 @@ func TestSweepCandidateFilterIsExact(t *testing.T) {
 					if di == 0 && dj == 0 {
 						continue
 					}
-					for c := j - 1; c <= j+1; c++ {
-						col := e.ringCol(c)
-						for k := range col {
-							col[k] = d * float64(4+abs(k-i)+abs(c-j))
+					// plane[r][c] is the denominator r−2 rows and c−1
+					// columns from the planted cell at plane[2][1].
+					var plane [5][3]float64
+					for r := range plane {
+						for c := range plane[r] {
+							plane[r][c] = d * float64(4+abs(r-2)+abs(c-1))
 						}
 					}
-					e.ringCol(j)[i] = d
-					e.ringCol(j + dj)[i+di] = dn
-					// The planted neighbour peaks whenever it lies in
-					// column j; the cell peaks unless 1/dn beats 1/d.
+					plane[2][1] = d
+					plane[2+di][1+dj] = dn
+					got := 0
+					for r := 1; r <= 3; r++ {
+						var n [3][3]float64
+						copy(n[:], plane[r-1:r+2])
+						if isPeak(&n) {
+							got++
+						}
+					}
+					// The planted neighbour peaks whenever it lies in the
+					// middle column; the cell peaks unless 1/dn beats 1/d.
 					want := 0
 					if dj == 0 {
 						want++
@@ -376,8 +430,8 @@ func TestSweepCandidateFilterIsExact(t *testing.T) {
 					if !(1/dn > 1/d) {
 						want++
 					}
-					if got := e.columnPeaks(nil, j); len(got) != want {
-						t.Fatalf("d=%v, neighbour (%+d,%+d) at %v: %d peaks, want %d", d, di, dj, dn, len(got), want)
+					if got != want {
+						t.Fatalf("d=%v, neighbour (%+d,%+d) at %v: %d peaks, want %d", d, di, dj, dn, got, want)
 					}
 				}
 			}
@@ -395,8 +449,7 @@ func abs(x int) int {
 // TestCoarseMatchesDense holds the sweep, which the coarse ladder rung
 // runs like every other rung, to the dense reference on hand-placed
 // scenes — one path, three, and six with two of them 4.6° and 12 ns
-// apart: the paths and the spectrum equal the reference bit for bit, and
-// every cell of the grid is swept.
+// apart: the paths and the spectrum equal the reference bit for bit.
 func TestCoarseMatchesDense(t *testing.T) {
 	scenes := []struct {
 		name  string
@@ -432,7 +485,7 @@ func TestCoarseMatchesDense(t *testing.T) {
 	}
 	for _, sc := range scenes {
 		for seed := int64(1); seed <= 8; seed++ {
-			if err := checkAgainstReference(t, e, optScene(seed, sc.sigma, sc.paths, sc.gains), true); err != nil {
+			if _, err := checkAgainstReference(t, e, optScene(seed, sc.sigma, sc.paths, sc.gains), true); err != nil {
 				t.Fatalf("%s/%d: %v", sc.name, seed, err)
 			}
 		}
@@ -442,8 +495,7 @@ func TestCoarseMatchesDense(t *testing.T) {
 // TestCoarseWindowEdgeFallback places two pairs of close paths whose
 // peaks sit about four cells apart, so a search over windows of the grid
 // would meet them at a window's edge. The sweep has no windows: it must
-// sweep every cell and match the dense reference bit for bit on every
-// seed.
+// match the dense reference bit for bit on every seed.
 func TestCoarseWindowEdgeFallback(t *testing.T) {
 	paths := []PathEstimate{
 		{AoA: -0.45, ToF: 18e-9}, {AoA: -0.38, ToF: 26e-9},
@@ -455,7 +507,7 @@ func TestCoarseWindowEdgeFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 12; seed++ {
-		if err := checkAgainstReference(t, e, optScene(seed, 0.1, paths, gains), true); err != nil {
+		if _, err := checkAgainstReference(t, e, optScene(seed, 0.1, paths, gains), true); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -43,6 +43,14 @@ type steeringTable struct {
 	pair []complex128
 	// omegaNorm[j] = ‖o(taus[j])‖², the ∑_s |Ω^s|² diagonal term.
 	omegaNorm []float64
+	// psi[i] is the phase of pair[i] for a one-pair table, unwrapped so
+	// that it falls strictly with i, and sMin2 = s_min² with
+	// s_min = min_i sin((psi[i]−psi[i+1])/2): what the sweep's row
+	// certificate reads (see candidateRows). psi is nil for any other
+	// pair count, or when the phases do not fall strictly within one
+	// turn; the sweep then searches every row.
+	psi   []float64
+	sMin2 float64
 
 	subAnt, subSub, nPair int
 }
@@ -132,5 +140,34 @@ func buildSteeringTable(p Params) *steeringTable {
 		}
 		t.omegaNorm[j] = n
 	}
+	if t.nPair == 1 {
+		t.psi, t.sMin2 = pairPhases(t.pair)
+	}
 	return t
+}
+
+// pairPhases returns the phases ψ of a one-pair table's products, each
+// put within half a turn of the previous one, and s_min². It returns nil
+// unless ψ falls strictly with the row and spans at most one turn, so
+// that every ψ lies in [−3π, π]: that bounds ψ's rounding, and with it
+// the error budget of candidateRows.
+func pairPhases(pair []complex128) ([]float64, float64) {
+	psi := make([]float64, len(pair))
+	sMin := 1.0
+	for i, p := range pair {
+		phi := cmplx.Phase(p)
+		if i == 0 {
+			psi[0] = phi
+			continue
+		}
+		psi[i] = phi + 2*math.Pi*math.Round((psi[i-1]-phi)/(2*math.Pi))
+		if !(psi[i] < psi[i-1]) {
+			return nil, 0
+		}
+		sMin = math.Min(sMin, math.Sin((psi[i-1]-psi[i])/2))
+	}
+	if !(psi[0]-psi[len(psi)-1] <= 2*math.Pi) {
+		return nil, 0
+	}
+	return psi, sMin * sMin
 }
