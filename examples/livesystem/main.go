@@ -2,8 +2,8 @@
 //
 // A central server listens on localhost TCP; six AP agents connect and
 // stream simulated CSI reports for one target over the wire protocol; the
-// server assembles bursts and localizes. This is exactly what
-// cmd/spotfi-server and cmd/spotfi-ap do as separate processes.
+// server assembles bursts and localizes. The server is spotfi.Service,
+// the serving graph cmd/spotfi-server runs; cmd/spotfi-ap is the agent.
 //
 //	go run ./examples/livesystem
 package main
@@ -19,8 +19,6 @@ import (
 
 	"spotfi"
 	"spotfi/internal/apnode"
-	"spotfi/internal/csi"
-	"spotfi/internal/obs/trace"
 	"spotfi/internal/server"
 	"spotfi/internal/sim"
 	"spotfi/internal/testbed"
@@ -36,48 +34,27 @@ func main() {
 	for i, ap := range d.APs {
 		aps[i] = spotfi.AP{ID: ap.ID, Pos: ap.Pos, NormalAngle: ap.NormalAngle}
 	}
-	loc, err := spotfi.New(spotfi.DefaultConfig(d.Bounds), aps)
-	if err != nil {
-		logger.Error("localizer init failed", "err", err)
-		os.Exit(1)
-	}
 
 	// The server localizes every time each of ≥5 APs has 10 fresh packets.
-	fixes := make(chan spotfi.Point, 8)
-	collector, err := server.NewCollector(server.CollectorConfig{
-		BatchSize: 10, MinAPs: 5, MaxBuffered: 100,
-	}, func(mac string, bursts map[int][]*csi.Packet, tr *trace.Trace) {
-		defer tr.Finish()
-		p, reports, skipped, err := loc.LocalizeBurstsTraced(bursts, tr)
-		// Skipped APs are reported on the error path too: when
-		// localization dies for want of usable reports, the per-AP causes
-		// are the diagnosis.
-		for _, s := range skipped {
-			logger.Warn("AP skipped", "mac", mac, "trace", tr.ID(), "ap", s.APID, "err", s.Err)
-		}
-		if err != nil {
-			logger.Warn("localize failed", "mac", mac, "trace", tr.ID(), "err", err)
-			return
-		}
-		logger.Info("target localized", "mac", mac, "trace", tr.ID(),
-			"x", p.X, "y", p.Y, "aps", len(reports), "confidence", p.Confidence)
-		fixes <- p.Point
-	})
+	cfg := spotfi.DefaultServiceConfig(aps, d.Bounds)
+	cfg.Collector = server.CollectorConfig{BatchSize: 10, MinAPs: 5, MaxBuffered: 100}
+	cfg.Logger = logger
+	svc, err := spotfi.NewService(cfg)
 	if err != nil {
-		logger.Error("collector init failed", "err", err)
+		logger.Error("service init failed", "err", err)
 		os.Exit(1)
 	}
-	srv, err := server.New(collector, logger)
+	defer svc.Drain(time.Second)
+	fixes, err := svc.Feed().Subscribe()
 	if err != nil {
-		logger.Error("server init failed", "err", err)
+		logger.Error("fix feed subscribe failed", "err", err)
 		os.Exit(1)
 	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	addr, err := svc.Listen("127.0.0.1:0")
 	if err != nil {
 		logger.Error("listen failed", "err", err)
 		os.Exit(1)
 	}
-	defer srv.Close()
 	logger.Info("server listening", "addr", addr.String())
 
 	// Six AP agents stream CSI over real TCP connections.
@@ -124,9 +101,9 @@ func main() {
 drain:
 	for n < wantFixes {
 		select {
-		case p := <-fixes:
+		case fx := <-fixes.Fixes():
 			n++
-			sumErr += p.Dist(truth)
+			sumErr += spotfi.Point{X: fx.X, Y: fx.Y}.Dist(truth)
 		case <-deadline:
 			break drain
 		}

@@ -52,10 +52,14 @@ type LadderConfig struct {
 	OnChange func(from, to Mode)
 }
 
-// DefaultLadderConfig derives thresholds from the queue's sojourn target:
-// degrade to the fast path at 2× target, to the coarse rung at 6×, and
-// recover (after HoldGood consecutive good bursts) below target/2.
+// DefaultLadderConfig derives thresholds from the queue's sojourn target
+// (QueueConfig's default when target is zero): degrade to the fast path
+// at 2× target, to the coarse rung at 6×, and recover (after HoldGood
+// consecutive good bursts) below target/2.
 func DefaultLadderConfig(target time.Duration) LadderConfig {
+	if target <= 0 {
+		target = defaultTarget
+	}
 	return LadderConfig{
 		MaxMode:     ModeCoarse,
 		StepDownAt:  []time.Duration{2 * target, 6 * target},

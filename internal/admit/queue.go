@@ -51,6 +51,9 @@ type Item struct {
 	Payload any
 }
 
+// defaultTarget is QueueConfig.Target's default.
+const defaultTarget = 150 * time.Millisecond
+
 // QueueConfig configures a Queue. Zero fields select defaults.
 type QueueConfig struct {
 	// Capacity bounds the number of queued items (default 64).
@@ -81,7 +84,7 @@ func (c *QueueConfig) fill() {
 		c.Capacity = 64
 	}
 	if c.Target <= 0 {
-		c.Target = 150 * time.Millisecond
+		c.Target = defaultTarget
 	}
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second

@@ -341,16 +341,16 @@ func (r *Registry) dropSeriesLocked() {
 	r.dropped.Inc()
 }
 
-// lookup get-or-creates the (family, series) pair, enforcing that a name is
-// only ever used with one metric type (and, for histograms, one bucket
-// layout). Misuse is a programming error and panics, like redeclaring a
-// variable would fail to compile.
-func (r *Registry) lookup(name, help, typ string, labels Labels, buckets []float64) *series {
+// lookupLocked get-or-creates the (family, series) pair, enforcing that a
+// name is only ever used with one metric type (and, for histograms, one
+// bucket layout). Misuse is a programming error and panics, like
+// redeclaring a variable would fail to compile. The caller holds r.mu and
+// fills the series' instrument before releasing it, so a concurrent
+// Snapshot never reads a half-registered series.
+func (r *Registry) lookupLocked(name, help, typ string, labels Labels, buckets []float64) *series {
 	if name == "" {
 		panic("obs: empty metric name")
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, series: make(map[string]*series)}
@@ -388,7 +388,9 @@ func (r *Registry) lookup(name, help, typ string, labels Labels, buckets []float
 
 // Counter returns the counter for name+labels, registering it on first use.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	s := r.lookup(name, help, TypeCounter, labels, nil)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.lookupLocked(name, help, TypeCounter, labels, nil)
 	if s.counter == nil {
 		s.counter = &Counter{}
 	}
@@ -397,7 +399,9 @@ func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 
 // Gauge returns the gauge for name+labels, registering it on first use.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	s := r.lookup(name, help, TypeGauge, labels, nil)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.lookupLocked(name, help, TypeGauge, labels, nil)
 	if s.gauge == nil {
 		s.gauge = &Gauge{}
 	}
@@ -408,7 +412,9 @@ func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
 // time — for values already maintained elsewhere (e.g. a map size under
 // someone else's lock). fn must be safe to call from any goroutine.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	s := r.lookup(name, help, TypeGauge, labels, nil)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.lookupLocked(name, help, TypeGauge, labels, nil)
 	s.gaugeFn = fn
 }
 
@@ -419,7 +425,9 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 // buckets were silently ignored, which hid per-histogram overrides (e.g. a
 // µs-resolution sojourn histogram) behind whichever call site ran first.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels Labels) *Histogram {
-	s := r.lookup(name, help, TypeHistogram, labels, buckets)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.lookupLocked(name, help, TypeHistogram, labels, buckets)
 	if s.hist == nil {
 		s.hist = newHistogram(buckets)
 	}

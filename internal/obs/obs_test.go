@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -195,5 +197,38 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if got := h.Sum(); math.Abs(got-workers*per*0.001) > 1e-6 {
 		t.Fatalf("histogram sum = %v", got)
+	}
+}
+
+// TestRegisterWhileScraping registers series, as lazily created per-AP
+// gauges do, while /metrics is being scraped: a scrape must never read a
+// series whose instrument is still being filled in (run with -race).
+func TestRegisterWhileScraping(t *testing.T) {
+	r := NewRegistry()
+	const series = 50
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < series; i++ {
+			l := Labels{"ap": strconv.Itoa(i)}
+			r.GaugeFunc("ap_state", "", l, func() float64 { return 1 })
+			r.Counter("ap_events_total", "", l).Inc()
+			r.Gauge("ap_depth", "", l).Set(2)
+			r.Histogram("ap_seconds", "", LatencyBuckets, l).Observe(0.01)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < series; i++ {
+			if err := r.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if n := len(r.Snapshot()); n != 4*series {
+		t.Fatalf("%d series, want %d", n, 4*series)
 	}
 }

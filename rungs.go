@@ -12,8 +12,8 @@ import "spotfi/internal/admit"
 // sweep has no cheaper exact variant, and what the rung should trade away
 // instead is an accuracy decision that needs its measured cost first.
 //
-// This is the single source of rung construction: spotfi-server builds
-// its serving ladder here, and flight-recorder replay rebuilds the same
+// This is the single source of rung construction: Service builds its
+// serving ladder here, and flight-recorder replay rebuilds the same
 // ladder from a bundle's recorded config — the two must agree or replay
 // stops being bit-exact.
 func BuildLadder(base Config, aps []AP, modes int) ([]*Localizer, error) {

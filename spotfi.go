@@ -27,7 +27,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"time"
 
 	"spotfi/internal/calib"
 	"spotfi/internal/csi"
@@ -123,8 +122,9 @@ type Config struct {
 	// calib.Estimate against a known-position beacon), applied to every
 	// packet before estimation. APs without an entry are used as-is.
 	Calibration map[int]calib.Offsets
-	// Metrics, when non-nil, receives per-stage timings and failure
-	// counts for every burst processed (see NewPipelineMetrics).
+	// Metrics, when non-nil, receives packet, burst and fast-path counts
+	// for every burst processed (see NewPipelineMetrics). Stage latencies
+	// are the tracer's spotfi_trace_span_seconds.
 	Metrics *PipelineMetrics
 	// Quality holds the confidence-score scales and weights; the zero
 	// value selects quality.DefaultScoreConfig. Every Location carries a
@@ -169,19 +169,11 @@ const (
 	defaultFastPathMinMargin     = 0.5
 )
 
-// PipelineMetrics instruments the Localizer: per-stage latency histograms
-// and failure counters. Construct with NewPipelineMetrics to register the
-// canonical metric names on a registry; a zero PipelineMetrics (or any nil
-// field) records nothing.
+// PipelineMetrics instruments the Localizer with outcome counters.
+// Construct with NewPipelineMetrics to register the canonical metric names
+// on a registry; a zero PipelineMetrics (or any nil field) records
+// nothing. Stage latencies are timed once, by the trace spans.
 type PipelineMetrics struct {
-	// SanitizeSeconds, EstimateSeconds, ClusterSeconds, and LocateSeconds
-	// time the pipeline stages: Algorithm 1 ToF sanitization and
-	// super-resolution are observed once per packet, clustering once per
-	// burst, localization once per fused fix.
-	SanitizeSeconds *obs.Histogram
-	EstimateSeconds *obs.Histogram
-	ClusterSeconds  *obs.Histogram
-	LocateSeconds   *obs.Histogram
 	// PacketsProcessed counts packets that survived stage 1;
 	// PacketFailures counts packets dropped by calibration, sanitization,
 	// or estimation errors.
@@ -202,23 +194,13 @@ type PipelineMetrics struct {
 // NewPipelineMetrics registers the pipeline's metric families on r and
 // returns the wired instrument set. Exported series:
 //
-//	spotfi_stage_duration_seconds{stage="sanitize"|"estimate"|"cluster"|"locate"}
 //	spotfi_packets_processed_total, spotfi_packet_failures_total
 //	spotfi_bursts_processed_total, spotfi_burst_failures_total
 //	spotfi_aps_skipped_total
 //	spotfi_fastpath_accepted_total, spotfi_fastpath_fallback_total
 //	spotfi_steering_cache_{hits,misses,entries} (process-wide gauges)
 func NewPipelineMetrics(r *obs.Registry) *PipelineMetrics {
-	stage := func(name string) *obs.Histogram {
-		return r.Histogram("spotfi_stage_duration_seconds",
-			"Latency of SpotFi pipeline stages (sanitize/estimate per packet, cluster per burst, locate per fix).",
-			obs.LatencyBuckets, obs.Labels{"stage": name})
-	}
 	return &PipelineMetrics{
-		SanitizeSeconds:  stage("sanitize"),
-		EstimateSeconds:  stage("estimate"),
-		ClusterSeconds:   stage("cluster"),
-		LocateSeconds:    stage("locate"),
 		PacketsProcessed: r.Counter("spotfi_packets_processed_total", "Packets that survived super-resolution estimation.", nil),
 		PacketFailures:   r.Counter("spotfi_packet_failures_total", "Packets dropped by calibration, sanitization, or estimation errors.", nil),
 		BurstsProcessed:  r.Counter("spotfi_bursts_processed_total", "Per-AP bursts that produced a direct-path report.", nil),
@@ -354,8 +336,7 @@ func New(cfg Config, aps []AP) (*Localizer, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.Metrics == nil {
-		// Nil obs metrics are no-ops, so an unwired pipeline pays only
-		// the time.Now calls.
+		// Nil obs metrics are no-ops.
 		cfg.Metrics = &PipelineMetrics{}
 	}
 	l := &Localizer{cfg: cfg, esprit: esprit, aps: m}
@@ -496,9 +477,7 @@ func (l *Localizer) prepBurst(apID int, pkts []*Packet, apSpan *trace.Span) ([]*
 			}
 			if l.cfg.Sanitize {
 				ssp := apSpan.StartSpan(trace.StageSanitize)
-				start := time.Now()
 				sres, err := sanitize.ToF(work, l.cfg.Music.Band.SubcarrierSpacingHz)
-				l.cfg.Metrics.SanitizeSeconds.ObserveSince(start)
 				ssp.SetInt("pkt", int64(i))
 				ssp.SetFloat("sto_ns", sres.STOEstimate*1e9)
 				ssp.End()
@@ -543,7 +522,6 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 			defer wg.Done()
 			defer func() { <-sem }()
 			esp := apSpan.StartSpan(trace.StageEstimate)
-			start := time.Now()
 			var est []PathEstimate
 			var diag music.Diag
 			var err error
@@ -552,7 +530,6 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 			} else {
 				est, diag, err = l.estimateMUSIC(work)
 			}
-			l.cfg.Metrics.EstimateSeconds.ObserveSince(start)
 			esp.SetInt("pkt", int64(i))
 			esp.SetStr("estimator", kind)
 			esp.SetInt("eigen_sweeps", int64(diag.EigenSweeps))
@@ -584,12 +561,15 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 
 	// Clustering seed derived from the burst identity, not from a shared
 	// RNG: concurrent ProcessBurst calls would otherwise consume the
-	// generator in scheduler order and make results run-dependent.
+	// generator in scheduler order and make results run-dependent. A
+	// reseeded pooled generator draws exactly what a fresh one would,
+	// without allocating a 4.9 KB source per AP burst.
 	seed := int64(uint64(l.cfg.Seed)^uint64(apID+1)*0x9E3779B97F4A7C15^(pkts[0].Seq+1)*0xBF58476D1CE4E5B9^uint64(len(pkts))) & 0x7FFFFFFFFFFFFFFF
 	csp := apSpan.StartSpan(trace.StageCluster)
-	start := time.Now()
-	res, err := dpath.Identify(perPacket, l.cfg.DPath, rand.New(rand.NewSource(seed)))
-	l.cfg.Metrics.ClusterSeconds.ObserveSince(start)
+	rng := clusterRNGs.Get().(*rand.Rand)
+	rng.Seed(seed)
+	res, err := dpath.Identify(perPacket, l.cfg.DPath, rng)
+	clusterRNGs.Put(rng)
 	if err != nil {
 		csp.End()
 		return nil, failed, err
@@ -640,6 +620,10 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 		STOJitterNs: stoStd,
 	}, failed, nil
 }
+
+// clusterRNGs pools the clustering generators estimateAndCluster reseeds
+// per AP burst.
+var clusterRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // meanStd returns the mean and population standard deviation of the finite
 // entries of xs (NaN, NaN when none are finite — e.g. sanitize disabled).
@@ -726,9 +710,7 @@ func (l *Localizer) locateFull(reports []*APReport, parent *trace.Span) (locate.
 	lsp := parent.StartSpan(trace.StageLocate)
 	defer lsp.End()
 	lsp.SetInt("aps", int64(len(reports)))
-	start := time.Now()
 	res, err := locate.Locate(obs, l.cfg.Locate)
-	l.cfg.Metrics.LocateSeconds.ObserveSince(start)
 	if err != nil {
 		return locate.Result{}, err
 	}

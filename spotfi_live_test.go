@@ -1,17 +1,10 @@
 package spotfi
 
 import (
-	"context"
-	"math/rand"
-	"sync"
 	"testing"
 	"time"
 
-	"spotfi/internal/apnode"
-	"spotfi/internal/csi"
-	"spotfi/internal/obs/trace"
 	"spotfi/internal/server"
-	"spotfi/internal/sim"
 	"spotfi/internal/testbed"
 )
 
@@ -24,71 +17,19 @@ func TestLiveSystemEndToEnd(t *testing.T) {
 	}
 	d := testbed.Office(42)
 	const targetIdx = 4
-	loc, err := New(DefaultConfig(d.Bounds), deploymentAPs(d))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultServiceConfig(deploymentAPs(d), d.Bounds)
+	cfg.Collector = server.CollectorConfig{BatchSize: 8, MinAPs: 5, MaxBuffered: 64}
+	svc, addr := startService(t, cfg)
+	sub := subscribe(t, svc)
 
-	fixes := make(chan Point, 8)
-	collector, err := server.NewCollector(server.CollectorConfig{
-		BatchSize: 8, MinAPs: 5, MaxBuffered: 64,
-	}, func(mac string, bursts map[int][]*csi.Packet, tr *trace.Trace) {
-		if mac != testbed.TargetMAC(targetIdx) {
-			t.Errorf("burst for unexpected MAC %s", mac)
-			return
-		}
-		p, _, _, err := loc.LocalizeBursts(bursts)
-		if err != nil {
-			t.Errorf("localize: %v", err)
-			return
-		}
-		fixes <- p.Point
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(collector, testLogger(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for apIdx := range d.APs {
-		link := d.Link(apIdx, targetIdx)
-		syn, err := sim.NewSynthesizer(link, d.Band, d.Array, d.Imp,
-			rand.New(rand.NewSource(int64(500+apIdx))))
-		if err != nil {
-			t.Fatalf("AP %d: %v", apIdx, err)
-		}
-		agent := &apnode.Agent{
-			APID:       apIdx,
-			ServerAddr: addr.String(),
-			Source: &apnode.SynthSource{
-				Syn:       syn,
-				TargetMAC: testbed.TargetMAC(targetIdx),
-				Limit:     8,
-			},
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := agent.Run(ctx); err != nil {
-				t.Errorf("agent %d: %v", id, err)
-			}
-		}(apIdx)
-	}
-	wg.Wait()
+	streamBursts(t, d, addr, targetIdx, 8, 500)
 
 	select {
-	case p := <-fixes:
-		truth := d.Targets[targetIdx]
+	case fx := <-sub.Fixes():
+		if fx.MAC != testbed.TargetMAC(targetIdx) {
+			t.Fatalf("fix for unexpected MAC %s", fx.MAC)
+		}
+		p, truth := Point{X: fx.X, Y: fx.Y}, d.Targets[targetIdx]
 		if e := p.Dist(truth); e > 3 {
 			t.Fatalf("live fix %v is %v m from truth %v", p, e, truth)
 		}
@@ -96,4 +37,5 @@ func TestLiveSystemEndToEnd(t *testing.T) {
 	case <-time.After(20 * time.Second):
 		t.Fatal("no fix produced")
 	}
+	checkNoLocalizeErrors(t, svc)
 }

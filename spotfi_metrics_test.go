@@ -1,22 +1,14 @@
 package spotfi
 
 import (
-	"context"
 	"io"
-	"math/rand"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"spotfi/internal/apnode"
-	"spotfi/internal/csi"
-	"spotfi/internal/obs"
-	"spotfi/internal/obs/trace"
 	"spotfi/internal/server"
-	"spotfi/internal/sim"
 	"spotfi/internal/testbed"
 )
 
@@ -46,7 +38,8 @@ func parseMetrics(t *testing.T, body string) map[string]float64 {
 // observability layer wired in: AP agents stream CSI over TCP, the server
 // assembles bursts, the pipeline localizes, and a /metrics scrape must
 // show the ingest counters, stage latency histograms, and pending gauges
-// all advancing coherently.
+// all advancing coherently. Stage latencies come from the trace spans, so
+// every burst is traced.
 func TestMetricsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-system run")
@@ -55,50 +48,18 @@ func TestMetricsEndToEnd(t *testing.T) {
 	const targetIdx = 4
 	const packets = 6
 
-	reg := obs.NewRegistry()
-	cfg := DefaultConfig(d.Bounds)
-	cfg.Metrics = NewPipelineMetrics(reg)
-	loc, err := New(cfg, deploymentAPs(d))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultServiceConfig(deploymentAPs(d), d.Bounds)
+	cfg.Collector = server.CollectorConfig{BatchSize: packets, MinAPs: 6, MaxBuffered: 64}
+	cfg.Trace.SampleEvery = 1
+	svc, addr := startService(t, cfg)
+	sub := subscribe(t, svc)
 
-	fixes := make(chan Point, 8)
-	collector, err := server.NewCollector(server.CollectorConfig{
-		BatchSize: packets, MinAPs: 6, MaxBuffered: 64,
-	}, func(mac string, bursts map[int][]*csi.Packet, tr *trace.Trace) {
-		p, _, skipped, err := loc.LocalizeBursts(bursts)
-		if err != nil {
-			t.Errorf("localize: %v", err)
-			return
-		}
-		for _, s := range skipped {
-			t.Logf("skipped %v", s)
-		}
-		fixes <- p.Point
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm := server.NewMetrics(reg)
-	collector.SetMetrics(sm)
-	srv, err := server.New(collector, testLogger(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetMetrics(sm)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	// The debug endpoint exactly as cmd/spotfi-server mounts it.
-	debug := httptest.NewServer(reg.Handler())
+	// The debug endpoint exactly as spotfi-server serves it.
+	debug := httptest.NewServer(svc.Handler())
 	defer debug.Close()
 
 	scrape := func() map[string]float64 {
-		res, err := debug.Client().Get(debug.URL)
+		res, err := debug.Client().Get(debug.URL + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,51 +76,30 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("frames counter nonzero before traffic: %v", base["spotfi_server_frames_total"])
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for apIdx := range d.APs {
-		link := d.Link(apIdx, targetIdx)
-		syn, err := sim.NewSynthesizer(link, d.Band, d.Array, d.Imp,
-			rand.New(rand.NewSource(int64(700+apIdx))))
-		if err != nil {
-			t.Fatalf("AP %d: %v", apIdx, err)
-		}
-		agent := &apnode.Agent{
-			APID:       apIdx,
-			ServerAddr: addr.String(),
-			Source: &apnode.SynthSource{
-				Syn:       syn,
-				TargetMAC: testbed.TargetMAC(targetIdx),
-				Limit:     packets,
-			},
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := agent.Run(ctx); err != nil {
-				t.Errorf("agent %d: %v", id, err)
-			}
-		}(apIdx)
-	}
-	wg.Wait()
+	streamBursts(t, d, addr, targetIdx, packets, 700)
 
 	select {
-	case <-fixes:
+	case <-sub.Fixes():
 	case <-time.After(20 * time.Second):
 		t.Fatal("no fix produced")
 	}
+	// The worker finishes the burst's trace, which feeds the span
+	// histograms, just after it publishes the fix.
+	var m map[string]float64
+	waitFor(t, "the fix's trace to finish", 10*time.Second, 10*time.Millisecond, func() bool {
+		m = scrape()
+		return m["spotfi_traces_finished_total"] >= 1
+	})
 
-	m := scrape()
 	wantPositive := []string{
 		"spotfi_server_connects_total",
 		"spotfi_server_frames_total",
 		"spotfi_server_bursts_emitted_total",
-		`spotfi_stage_duration_seconds_count{stage="sanitize"}`,
-		`spotfi_stage_duration_seconds_count{stage="estimate"}`,
-		`spotfi_stage_duration_seconds_count{stage="cluster"}`,
-		`spotfi_stage_duration_seconds_count{stage="locate"}`,
-		`spotfi_stage_duration_seconds_sum{stage="estimate"}`,
+		`spotfi_trace_span_seconds_count{span="sanitize"}`,
+		`spotfi_trace_span_seconds_count{span="estimate"}`,
+		`spotfi_trace_span_seconds_count{span="cluster"}`,
+		`spotfi_trace_span_seconds_count{span="locate"}`,
+		`spotfi_trace_span_seconds_sum{span="estimate"}`,
 		"spotfi_packets_processed_total",
 		"spotfi_bursts_processed_total",
 	}
@@ -174,7 +114,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 	// Per-packet stages ran once per (AP, packet) pair.
-	if got := m[`spotfi_stage_duration_seconds_count{stage="estimate"}`]; got < float64(packets*6) {
+	if got := m[`spotfi_trace_span_seconds_count{span="estimate"}`]; got < float64(packets*6) {
 		t.Errorf("estimate stage observed %v packets, want ≥ %d", got, packets*6)
 	}
 	// Every burst drained: pruned collector shows empty gauges.
@@ -186,8 +126,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("decode errors = %v, want 0", m["spotfi_server_decode_errors_total"])
 	}
 	// Histogram buckets are cumulative: the +Inf bucket equals the count.
-	inf := m[`spotfi_stage_duration_seconds_bucket{stage="locate",le="+Inf"}`]
-	if cnt := m[`spotfi_stage_duration_seconds_count{stage="locate"}`]; inf != cnt {
+	inf := m[`spotfi_trace_span_seconds_bucket{span="locate",le="+Inf"}`]
+	if cnt := m[`spotfi_trace_span_seconds_count{span="locate"}`]; inf != cnt {
 		t.Errorf("locate +Inf bucket %v != count %v", inf, cnt)
 	}
+	checkNoLocalizeErrors(t, svc)
 }

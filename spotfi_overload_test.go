@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,10 +16,8 @@ import (
 	"spotfi/internal/apnode"
 	"spotfi/internal/chaos"
 	"spotfi/internal/csi"
+	"spotfi/internal/feed"
 	"spotfi/internal/flight"
-	"spotfi/internal/obs"
-	"spotfi/internal/obs/quality"
-	"spotfi/internal/obs/trace"
 	"spotfi/internal/server"
 	"spotfi/internal/sim"
 	"spotfi/internal/testbed"
@@ -88,11 +85,10 @@ func TestOverloadSoak(t *testing.T) {
 		workers     = 2
 		queueCap    = 32
 		admitTarget = 60 * time.Millisecond
-		deadline    = 600 * time.Millisecond
+		// deadline is a bucket bound of the sojourn histogram, so the p99
+		// check below reads an exact count.
+		deadline = 500 * time.Millisecond
 	)
-
-	reg := obs.NewRegistry()
-	base := DefaultConfig(d.Bounds)
 
 	// Flight recorder armed for the whole soak: the skewed AP's breaker
 	// opening must freeze a bundle mid-flood, and the drain dump at the
@@ -103,191 +99,73 @@ func TestOverloadSoak(t *testing.T) {
 	if bundleDir == "" {
 		bundleDir = t.TempDir()
 	}
-	specs := make([]flight.APSpec, len(d.APs))
-	for i, ap := range d.APs {
-		specs[i] = flight.APSpec{ID: ap.ID, X: ap.Pos.X, Y: ap.Pos.Y, NormalRad: ap.NormalAngle}
-	}
-	// Small rings and a long cooldown: a dump serializes every ring, and
-	// on a starved CI core repeated mid-flood dumps would steal the CPU
-	// the breaker's probation needs. One breaker-open bundle is the
-	// assertion; the drain bundle carries the replayable end state.
-	rec, err := flight.New(flight.Config{
-		Dir:         bundleDir,
-		FramesPerAP: 128,
-		Cooldown:    30 * time.Second,
-		MaxBundles:  4,
-		Registry:    reg,
-		Server: flight.ServerConfig{
-			Bounds: [4]float64{d.Bounds.MinX, d.Bounds.MinY, d.Bounds.MaxX, d.Bounds.MaxY},
-			APs:    specs,
-			Batch:  batch,
-			MinAPs: 3,
-			Modes:  3,
-			Seed:   base.Seed,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	cfg := DefaultServiceConfig(deploymentAPs(d), d.Bounds)
+	cfg.Workers = workers
+	cfg.Collector = server.CollectorConfig{BatchSize: batch, MinAPs: 3, MaxBuffered: 64, BurstTTL: 500 * time.Millisecond}
+	cfg.Queue = admit.QueueConfig{Capacity: queueCap, Target: admitTarget, Deadline: deadline, Interval: 250 * time.Millisecond}
+	cfg.Ladder.HoldGood = 4
 	// UnhealthyBelow sits far under the healthy fleet's occasional
 	// single-burst dips (~0.15 of bursts score 0.1–0.3 even on clean APs):
 	// the sick AP's trip signal in this soak is its non-finite CSI, which
 	// fires deterministically on the ingest path.
-	breakers := admit.NewBreakerSet(reg, admit.BreakerConfig{
+	cfg.Breaker = admit.BreakerConfig{
 		Window:         10 * time.Second,
 		Failures:       6,
 		Cooldown:       1500 * time.Millisecond,
 		Probes:         2,
 		UnhealthyBelow: 0.05,
-		OnTransition: func(ap int, from, to admit.State, kind admit.FailureKind) {
-			rec.Note(flight.EventBreaker, ap, "", from.String()+"→"+to.String()+" ("+string(kind)+")", 0)
-			if to == admit.StateOpen {
-				rec.Trigger(flight.TriggerBreakerOpen, fmt.Sprintf("AP %d breaker opened (%s)", ap, string(kind)))
-			}
-		},
-	})
-	monitor := quality.NewMonitor(reg, quality.Config{
-		OnBurst: func(sc quality.Score) {
-			for _, ap := range sc.PerAP {
-				breakers.ObserveScore(ap.APID, ap.Score)
-			}
-		},
-		OnDriftBreach: func(apID, breached int) {
-			if breached >= 2 {
-				breakers.Failure(apID, admit.FailDrift)
-			}
-		},
-	})
-	base.Metrics = NewPipelineMetrics(reg)
-	base.QualityMonitor = monitor
-	// The same three-rung ladder spotfi-server builds — and the one replay
-	// reconstructs from the bundle manifest.
-	locs, err := BuildLadder(base, deploymentAPs(d), 3)
-	if err != nil {
-		t.Fatal(err)
 	}
+	// Small rings and a long cooldown: a dump serializes every ring, and
+	// on a starved CI core repeated mid-flood dumps would steal the CPU
+	// the breaker's probation needs. One breaker-open bundle is the
+	// assertion; the drain bundle carries the replayable end state. The
+	// low-confidence trigger is off: a low-confidence dump early in the
+	// flood would use up the cooldown before the breaker opens.
+	cfg.Flight = flight.Config{Dir: bundleDir, FramesPerAP: 128, Cooldown: 30 * time.Second, MaxBundles: 4}
+	cfg.FlightConfidenceFloor = 0
+	svc, addr := startService(t, cfg)
+	breakers, ladder, rec := svc.Breakers(), svc.Ladder(), svc.Recorder()
 
-	var shedByReason [4]atomic.Uint64
-	reasonIdx := map[admit.ShedReason]int{
-		admit.ShedFull: 0, admit.ShedStale: 1, admit.ShedCoDel: 2, admit.ShedDrain: 3,
-	}
-	adq := admit.NewQueue(admit.QueueConfig{
-		Capacity: queueCap,
-		Target:   admitTarget,
-		Deadline: deadline,
-		Interval: 250 * time.Millisecond,
-		Metrics:  admit.NewQueueMetrics(reg),
-		OnShed: func(_ admit.Item, r admit.ShedReason) {
-			shedByReason[reasonIdx[r]].Add(1)
-		},
-	})
-	ladder := admit.NewLadder(reg, admit.LadderConfig{
-		MaxMode:     admit.ModeCoarse,
-		StepDownAt:  []time.Duration{2 * admitTarget, 6 * admitTarget},
-		StepUpBelow: admitTarget / 2,
-		HoldGood:    4,
-	})
-
-	type job struct {
-		mac    string
-		bursts map[int][]*csi.Packet
-	}
-
-	// The worker loop mirrors spotfi-server's: pop through the admission
-	// policy, step the ladder on the observed sojourn, re-filter APs whose
-	// breaker opened while the burst sat queued, localize on the rung's
-	// localizer.
-	type fix struct {
-		mac string
-		loc Location
-	}
+	// Every fix the pool publishes, and the deepest rung the ladder was
+	// seen on.
 	var (
 		fixMu       sync.Mutex
-		fixes       []fix
-		sojourns    []time.Duration
+		fixes       []feed.Fix
 		maxModeSeen atomic.Int64
 	)
-	var pool sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		pool.Add(1)
-		go func() {
-			defer pool.Done()
-			for {
-				it, sojourn, ok := adq.Pop()
-				if !ok {
-					return
-				}
-				mode := ladder.Observe(sojourn)
-				if int64(mode) > maxModeSeen.Load() {
-					maxModeSeen.Store(int64(mode))
-				}
-				j := it.Payload.(job)
-				for ap := range j.bursts {
-					if !breakers.Allow(ap) {
-						delete(j.bursts, ap)
-					}
-				}
-				if len(j.bursts) < 2 {
-					continue
-				}
-				p, _, _, err := locs[mode].LocalizeBursts(j.bursts)
-				fixMu.Lock()
-				sojourns = append(sojourns, sojourn)
-				if err == nil {
-					fixes = append(fixes, fix{mac: j.mac, loc: p})
-				}
-				fixMu.Unlock()
-				if err == nil {
-					rec.RecordFix(j.mac, p.Mode, p.X, p.Y, p.Confidence, j.bursts)
+	seeMode := func(m admit.Mode) {
+		for {
+			seen := maxModeSeen.Load()
+			if int64(m) <= seen || maxModeSeen.CompareAndSwap(seen, int64(m)) {
+				return
+			}
+		}
+	}
+	sub := subscribe(t, svc)
+	fixesDone := make(chan struct{})
+	go func() {
+		defer close(fixesDone)
+		for fx := range sub.Fixes() {
+			for m := admit.ModeFull; m <= admit.ModeCoarse; m++ {
+				if fx.Mode == m.String() {
+					seeMode(m)
 				}
 			}
-		}()
-	}
-
-	m := server.NewMetrics(reg)
-	collector, err := server.NewCollector(server.CollectorConfig{
-		BatchSize:   batch,
-		MinAPs:      3,
-		MaxBuffered: 64,
-		BurstTTL:    500 * time.Millisecond,
-	}, func(mac string, bursts map[int][]*csi.Packet, tr *trace.Trace) {
-		adq.Push(mac, job{mac: mac, bursts: bursts})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collector.SetMetrics(m)
-	collector.SetQuarantine(breakers.Allow)
-	collector.SetTap(rec.TapPacket)
-	stopSweeper := collector.StartSweeper(100 * time.Millisecond)
-	defer stopSweeper()
-
-	srv, err := server.New(collector, testLogger(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetMetrics(m)
-	srv.SetEventSink(breakers)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+			fixMu.Lock()
+			fixes = append(fixes, fx)
+			fixMu.Unlock()
+		}
+	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	waitFor := func(what string, timeout time.Duration, cond func() bool) {
+	waitUntil := func(what string, timeout time.Duration, cond func() bool) {
 		t.Helper()
-		deadline := time.Now().Add(timeout)
-		for time.Now().Before(deadline) {
-			if cond() {
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		t.Fatalf("timed out waiting for %s", what)
+		waitFor(t, what, timeout, 10*time.Millisecond, cond)
+	}
+	shedTotal := func(m map[string]float64, r admit.ShedReason) float64 {
+		return m[`spotfi_admit_shed_total{reason="`+string(r)+`"}`]
 	}
 
 	goroutinesBefore := runtime.NumGoroutine()
@@ -331,7 +209,7 @@ func TestOverloadSoak(t *testing.T) {
 		}
 		agent := &apnode.Agent{
 			APID:       apIdx,
-			ServerAddr: addr.String(),
+			ServerAddr: addr,
 			Source: &phasedSource{
 				flood:    &flood,
 				floodSrc: floodSrc,
@@ -360,19 +238,25 @@ func TestOverloadSoak(t *testing.T) {
 		defer fixMu.Unlock()
 		return len(fixes)
 	}
-	waitFor("admission control shedding", 30*time.Second, func() bool {
-		return adq.ShedTotal() > 0
+	waitUntil("admission control shedding", 30*time.Second, func() bool {
+		m := scrapeMetrics(t, svc)
+		total := 0.0
+		for _, r := range admit.ShedReasons() {
+			total += shedTotal(m, r)
+		}
+		return total > 0
 	})
-	waitFor("ladder stepping down", 30*time.Second, func() bool {
+	waitUntil("ladder stepping down", 30*time.Second, func() bool {
+		seeMode(ladder.Current())
 		return maxModeSeen.Load() >= int64(admit.ModeFastPath)
 	})
-	waitFor("skewed AP breaker open", 30*time.Second, func() bool {
+	waitUntil("skewed AP breaker open", 30*time.Second, func() bool {
 		return breakers.State(skewedAP) == admit.StateOpen
 	})
-	waitFor("flight bundle frozen on breaker open", 30*time.Second, func() bool {
+	waitUntil("flight bundle frozen on breaker open", 30*time.Second, func() bool {
 		return len(rec.Bundles()) > 0
 	})
-	waitFor("fixes flowing during overload", 30*time.Second, func() bool {
+	waitUntil("fixes flowing during overload", 30*time.Second, func() bool {
 		return fixCount() > 0
 	})
 	floodFixes := fixCount()
@@ -384,25 +268,26 @@ func TestOverloadSoak(t *testing.T) {
 	// The reopen backoff may have pushed the cooldown to its 8× cap during
 	// the flood (every half-open probe met another NaN), so allow a full
 	// backoff cycle before the clean probes land.
-	waitFor("breaker closing after probation", 60*time.Second, func() bool {
+	waitUntil("breaker closing after probation", 60*time.Second, func() bool {
 		return breakers.State(skewedAP) == admit.StateClosed
 	})
-	waitFor("ladder back to full fidelity", 30*time.Second, func() bool {
+	waitUntil("ladder back to full fidelity", 30*time.Second, func() bool {
 		return ladder.Current() == admit.ModeFull
 	})
-	waitFor("fixes flowing after recovery", 30*time.Second, func() bool {
+	waitUntil("fixes flowing after recovery", 30*time.Second, func() bool {
 		return fixCount() > floodFixes
 	})
 
 	// A post-recovery full-mode fix for the calm target lands near truth.
-	waitFor("full-mode fix for the calm target", 30*time.Second, func() bool {
+	waitUntil("full-mode fix for the calm target", 30*time.Second, func() bool {
 		fixMu.Lock()
 		defer fixMu.Unlock()
 		for i := len(fixes) - 1; i >= 0; i-- {
 			f := fixes[i]
-			if f.mac == testbed.TargetMAC(calmTgt) && f.loc.Mode == admit.ModeFull.String() {
-				if e := f.loc.Point.Dist(d.Targets[calmTgt]); e > 3.5 {
-					t.Fatalf("recovered fix %v is %.2f m from truth %v", f.loc.Point, e, d.Targets[calmTgt])
+			if f.MAC == testbed.TargetMAC(calmTgt) && f.Mode == admit.ModeFull.String() {
+				p := Point{X: f.X, Y: f.Y}
+				if e := p.Dist(d.Targets[calmTgt]); e > 3.5 {
+					t.Fatalf("recovered fix %v is %.2f m from truth %v", p, e, d.Targets[calmTgt])
 				}
 				return true
 			}
@@ -410,47 +295,43 @@ func TestOverloadSoak(t *testing.T) {
 		return false
 	})
 
-	// --- Drain: stop intake, stop assembly, drain the queue, join the
-	// pool. Nothing may leak. ---
+	// --- Drain: stop intake, stop assembly, localize what is queued,
+	// join the pool, and freeze the drain bundle — the full journal and
+	// every still-covered fix, which CI hands to the replay gate. Nothing
+	// may leak. ---
 	cancel()
 	agents.Wait()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+	svc.Drain(30 * time.Second)
+	<-fixesDone
+	var drainBundle string
+	for _, b := range rec.Bundles() {
+		if strings.HasSuffix(b.Name, "-"+string(flight.TriggerDrain)) {
+			drainBundle = b.Name
+		}
 	}
-	collector.Shutdown()
-	adq.Close()
-	pool.Wait()
-	stopSweeper()
-
-	// The drain dump freezes the full journal and every still-covered fix
-	// before the recorder shuts down — the bundle CI hands to the replay
-	// gate.
-	drainBundle, err := rec.DumpNow(flight.TriggerDrain, "soak drain")
-	if err != nil {
-		t.Fatalf("drain dump: %v", err)
+	if drainBundle == "" {
+		t.Fatal("no drain bundle written")
 	}
-	rec.Close()
 
 	// Every delivered burst respected the hard freshness deadline — the
 	// stale-first shed policy means overload manifests as sheds, not as
 	// unbounded queue sojourn.
-	fixMu.Lock()
-	sorted := append([]time.Duration(nil), sojourns...)
-	fixMu.Unlock()
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if len(sorted) == 0 {
+	m := scrapeMetrics(t, svc)
+	delivered := m["spotfi_admit_queue_sojourn_seconds_count"]
+	if delivered == 0 {
 		t.Fatal("no delivered sojourns recorded")
 	}
-	p99 := sorted[len(sorted)*99/100]
-	if p99 > deadline {
-		t.Fatalf("p99 delivered sojourn %v exceeds the %v freshness deadline", p99, deadline)
+	withinDeadline := m[fmt.Sprintf(`spotfi_admit_queue_sojourn_seconds_bucket{le="%g"}`, deadline.Seconds())]
+	if int(withinDeadline) <= int(delivered)*99/100 {
+		t.Fatalf("only %v of %v delivered bursts waited within the %v freshness deadline (p99 above it)",
+			withinDeadline, delivered, deadline)
 	}
 
 	// Degraded-mode fixes actually happened and carried their mode label.
 	degraded := 0
 	fixMu.Lock()
 	for _, f := range fixes {
-		if f.loc.Mode != "" && f.loc.Mode != admit.ModeFull.String() {
+		if f.Mode != "" && f.Mode != admit.ModeFull.String() {
 			degraded++
 		}
 	}
@@ -462,12 +343,12 @@ func TestOverloadSoak(t *testing.T) {
 
 	// The flood pushed well past capacity, so capacity eviction must have
 	// fired (alongside whatever the deadline and CoDel shed).
-	if shedByReason[reasonIdx[admit.ShedFull]].Load() == 0 {
+	if shedTotal(m, admit.ShedFull) == 0 {
 		t.Error("no capacity eviction at 5× overload — fair shedding never engaged")
 	}
 
 	// The pool and the agent goroutines are gone; nothing else grew.
-	waitFor("goroutines back to baseline", 10*time.Second, func() bool {
+	waitUntil("goroutines back to baseline", 10*time.Second, func() bool {
 		return runtime.NumGoroutine() <= goroutinesBefore+3
 	})
 
@@ -500,8 +381,8 @@ func TestOverloadSoak(t *testing.T) {
 		t.Error("drain bundle recorded fixes but none is frame-covered — rings evicted everything")
 	}
 
-	t.Logf("soak: %d fixes (%d degraded), p99 sojourn %v, sheds full=%d stale=%d codel=%d drain=%d, max mode %v, breaker trips=%v",
-		total, degraded, p99,
-		shedByReason[0].Load(), shedByReason[1].Load(), shedByReason[2].Load(), shedByReason[3].Load(),
+	t.Logf("soak: %d fixes (%d degraded), %v of %v delivered within %v, sheds full=%v stale=%v codel=%v drain=%v, max mode %v, breaker trips=%v",
+		total, degraded, withinDeadline, delivered, deadline,
+		shedTotal(m, admit.ShedFull), shedTotal(m, admit.ShedStale), shedTotal(m, admit.ShedCoDel), shedTotal(m, admit.ShedDrain),
 		admit.Mode(maxModeSeen.Load()), breakers.Snapshot())
 }

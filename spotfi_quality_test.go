@@ -12,10 +12,7 @@ import (
 
 	"spotfi/internal/apnode"
 	"spotfi/internal/chaos"
-	"spotfi/internal/csi"
-	"spotfi/internal/obs"
 	"spotfi/internal/obs/quality"
-	"spotfi/internal/obs/trace"
 	"spotfi/internal/server"
 	"spotfi/internal/sim"
 	"spotfi/internal/testbed"
@@ -40,41 +37,15 @@ func TestQualityObservabilityEndToEnd(t *testing.T) {
 		waves     = 6
 	)
 
-	reg := obs.NewRegistry()
-	monitor := quality.NewMonitor(reg, quality.Config{})
-	cfg := DefaultConfig(d.Bounds)
-	cfg.QualityMonitor = monitor
-	loc, err := New(cfg, deploymentAPs(d))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	fixes := make(chan Location, waves+2)
-	collector, err := server.NewCollector(server.CollectorConfig{
-		BatchSize: batch, MinAPs: len(d.APs), MaxBuffered: 64,
-	}, func(mac string, bursts map[int][]*csi.Packet, tr *trace.Trace) {
-		p, _, _, err := loc.LocalizeBursts(bursts)
-		if err != nil {
-			t.Errorf("localize: %v", err)
-			return
-		}
-		select {
-		case fixes <- p:
-		default:
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(collector, testLogger(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	cfg := DefaultServiceConfig(deploymentAPs(d), d.Bounds)
+	cfg.Collector = server.CollectorConfig{BatchSize: batch, MinAPs: len(d.APs), MaxBuffered: 64}
+	// Every wave reconnects each AP, and the skewed AP scores unhealthy
+	// on every burst; at the default threshold its breaker would open and
+	// wedge assembly, which waits for all APs. This test watches quality,
+	// not quarantine.
+	cfg.Breaker.Failures = 64
+	svc, addr := startService(t, cfg)
+	sub := subscribe(t, svc)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -91,7 +62,7 @@ func TestQualityObservabilityEndToEnd(t *testing.T) {
 			}
 			agent := &apnode.Agent{
 				APID:       apIdx,
-				ServerAddr: addr.String(),
+				ServerAddr: addr,
 				Source: &apnode.SynthSource{
 					Syn:       syn,
 					TargetMAC: testbed.TargetMAC(targetIdx),
@@ -119,25 +90,24 @@ func TestQualityObservabilityEndToEnd(t *testing.T) {
 		wg.Wait()
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.After(30 * time.Second)
 	got := 0
-	for got < waves && time.Now().Before(deadline) {
+	for got < waves {
 		select {
-		case fix := <-fixes:
+		case fix := <-sub.Fixes():
 			got++
 			if fix.Confidence <= 0 || fix.Confidence > 1 {
 				t.Fatalf("fix confidence %v out of (0,1]", fix.Confidence)
 			}
-		case <-time.After(100 * time.Millisecond):
+		case <-deadline:
+			t.Fatalf("only %d of %d bursts localized", got, waves)
 		}
 	}
-	if got < waves {
-		t.Fatalf("only %d of %d bursts localized", got, waves)
-	}
+	checkNoLocalizeErrors(t, svc)
 
 	// --- /debug/quality: the skewed AP reads unhealthy, the rest do not. ---
 	rr := httptest.NewRecorder()
-	monitor.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/quality", nil))
+	svc.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/quality", nil))
 	if rr.Code != 200 {
 		t.Fatalf("/debug/quality = %d: %s", rr.Code, rr.Body.String())
 	}
@@ -192,14 +162,14 @@ func TestQualityObservabilityEndToEnd(t *testing.T) {
 
 	// The HTML scoreboard renders from the same state.
 	hr := httptest.NewRecorder()
-	monitor.Handler().ServeHTTP(hr, httptest.NewRequest("GET", "/debug/quality?view=html", nil))
+	svc.Handler().ServeHTTP(hr, httptest.NewRequest("GET", "/debug/quality?view=html", nil))
 	if hr.Code != 200 || !strings.Contains(hr.Body.String(), "<html") {
 		t.Fatalf("scoreboard HTML = %d, %d bytes", hr.Code, hr.Body.Len())
 	}
 
 	// --- /metrics: the quality series are exported. ---
 	mr := httptest.NewRecorder()
-	reg.Handler().ServeHTTP(mr, httptest.NewRequest("GET", "/metrics", nil))
+	svc.Handler().ServeHTTP(mr, httptest.NewRequest("GET", "/metrics", nil))
 	body := mr.Body.String()
 	for _, want := range []string{"spotfi_quality_score", "spotfi_quality_bursts_total", `spotfi_ap_health{ap="0"}`} {
 		if !strings.Contains(body, want) {

@@ -1,21 +1,14 @@
 package spotfi
 
 import (
-	"context"
 	"encoding/json"
-	"math/rand"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"spotfi/internal/apnode"
-	"spotfi/internal/csi"
-	"spotfi/internal/obs"
 	"spotfi/internal/obs/trace"
 	"spotfi/internal/server"
-	"spotfi/internal/sim"
 	"spotfi/internal/testbed"
 )
 
@@ -49,85 +42,23 @@ func TestTracedLiveSystemEndToEnd(t *testing.T) {
 	}
 	d := testbed.Office(42)
 	const targetIdx = 4
-	cfg := DefaultConfig(d.Bounds)
-	cfg.ModeLabel = "full" // the degradation rung must be visible on every trace
-	loc, err := New(cfg, deploymentAPs(d))
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := DefaultServiceConfig(deploymentAPs(d), d.Bounds)
+	cfg.Collector = server.CollectorConfig{BatchSize: 8, MinAPs: 5, MaxBuffered: 64}
+	cfg.Trace.SampleEvery = 1 // trace every burst
+	svc, addr := startService(t, cfg)
+	sub := subscribe(t, svc)
 
-	reg := obs.NewRegistry()
-	tracer := trace.New(trace.Config{
-		SampleEvery: 1, // trace every burst
-		Registry:    reg,
-		Logger:      testLogger(t),
-	})
-
-	fixes := make(chan Point, 8)
-	collector, err := server.NewCollector(server.CollectorConfig{
-		BatchSize: 8, MinAPs: 5, MaxBuffered: 64,
-	}, func(mac string, bursts map[int][]*csi.Packet, tr *trace.Trace) {
-		p, _, _, err := loc.LocalizeBurstsTraced(bursts, tr)
-		// Finish before publishing the fix so the scrape below cannot race
-		// the trace into the ring.
-		tr.Finish()
-		if err != nil {
-			t.Errorf("localize: %v", err)
-			return
-		}
-		fixes <- p.Point
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	collector.SetTracer(tracer)
-	srv, err := server.New(collector, testLogger(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for apIdx := range d.APs {
-		link := d.Link(apIdx, targetIdx)
-		syn, err := sim.NewSynthesizer(link, d.Band, d.Array, d.Imp,
-			rand.New(rand.NewSource(int64(700+apIdx))))
-		if err != nil {
-			t.Fatalf("AP %d: %v", apIdx, err)
-		}
-		agent := &apnode.Agent{
-			APID:       apIdx,
-			ServerAddr: addr.String(),
-			Source: &apnode.SynthSource{
-				Syn:       syn,
-				TargetMAC: testbed.TargetMAC(targetIdx),
-				Limit:     8,
-			},
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			if err := agent.Run(ctx); err != nil {
-				t.Errorf("agent %d: %v", id, err)
-			}
-		}(apIdx)
-	}
-	wg.Wait()
+	streamBursts(t, d, addr, targetIdx, 8, 700)
 
 	select {
-	case <-fixes:
+	case <-sub.Fixes():
 	case <-time.After(20 * time.Second):
 		t.Fatal("no fix produced")
 	}
 
-	// Scrape the debug endpoint exactly as an operator would.
-	ts := httptest.NewServer(tracer.Handler())
+	// Scrape the debug endpoint exactly as an operator would. The worker
+	// finishes the trace just after publishing the fix, so poll.
+	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	var full *traceJSON
 	deadline := time.Now().Add(10 * time.Second)
@@ -135,7 +66,7 @@ func TestTracedLiveSystemEndToEnd(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("no complete pipeline trace appeared at /debug/traces")
 		}
-		res, err := ts.Client().Get(ts.URL)
+		res, err := ts.Client().Get(ts.URL + "/debug/traces")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,10 +169,11 @@ func TestTracedLiveSystemEndToEnd(t *testing.T) {
 	// The per-stage latency histograms on /metrics saw the same spans.
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/metrics", nil)
-	reg.Handler().ServeHTTP(rec, req)
+	svc.Handler().ServeHTTP(rec, req)
 	if body := rec.Body.String(); !strings.Contains(body, `spotfi_trace_span_seconds_count{span="locate"}`) {
 		t.Fatalf("trace histograms missing from /metrics:\n%.2000s", body)
 	}
+	checkNoLocalizeErrors(t, svc)
 }
 
 func coversPipeline(tr *traceJSON) bool {
