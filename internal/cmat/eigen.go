@@ -13,10 +13,10 @@ import (
 type EigenDecomposition struct {
 	Values  []float64
 	Vectors [][]complex128
-	// Sweeps is the number of iterations the solver ran before
-	// converging — full Jacobi sweeps for EigHermitianInto, subspace
-	// iterations for TopEigenInto — a conditioning diagnostic surfaced in
-	// burst traces.
+	// Sweeps is the number of iterations the solver ran: full Jacobi
+	// sweeps for EigHermitianInto, implicit QL iterations of the
+	// tridiagonal eigenvalue step for TopEigenInto. A conditioning
+	// diagnostic surfaced in burst traces.
 	Sweeps int
 }
 
@@ -24,10 +24,11 @@ type EigenDecomposition struct {
 // Hermitian to within a reasonable tolerance.
 var ErrNotHermitian = errors.New("cmat: matrix is not Hermitian")
 
-// ErrNoConvergence is returned when the Jacobi iteration fails to reduce the
-// off-diagonal mass below tolerance within the sweep budget. For the matrix
-// sizes SpotFi uses (≤ 32) this indicates corrupt input (NaN/Inf).
-var ErrNoConvergence = errors.New("cmat: Jacobi eigendecomposition did not converge")
+// ErrNoConvergence is returned when an iteration runs out of its budget:
+// Jacobi fails to reduce the off-diagonal mass below tolerance within the
+// sweep budget, or TopEigenInto's QL within 30 iterations per eigenvalue.
+// For the matrix sizes SpotFi uses (≤ 32) this indicates corrupt input.
+var ErrNoConvergence = errors.New("cmat: eigendecomposition did not converge")
 
 const (
 	jacobiMaxSweeps = 64
@@ -35,36 +36,18 @@ const (
 )
 
 // EigenWorkspace owns the scratch buffers one eigendecomposition needs, so
-// a caller decomposing many same-sized matrices (the MUSIC per-packet hot
-// path) allocates nothing in steady state. A workspace is single-goroutine;
-// the zero value is ready to use.
-//
-// Across calls the workspace also retains the previous eigenvector basis V
-// and warm-starts the next decomposition with the similarity transform
-// W = Vᴴ·A·V: when consecutive inputs are close (packets of one burst see
-// the same channel plus noise), W is nearly diagonal and Jacobi converges
-// in one or two cheap sweeps instead of five to nine full ones. The
-// transform is unitary, so the result is exact regardless of how stale the
-// basis is — a cold basis only costs the two matrix products. Call Reset to
-// drop the basis (e.g. when a workspace is recycled across unrelated
-// streams).
+// a caller decomposing many same-sized matrices allocates nothing in
+// steady state. A workspace is single-goroutine and carries no numerical
+// state between calls; the zero value is ready to use.
 //
 //spotfi:arena
 type EigenWorkspace struct {
-	w, v, tmp *Matrix
-	d         EigenDecomposition
-	vecArena  []complex128
-	idx       []int
-	diag      []float64
-	// warmN is the dimension of the basis held in v from the previous
-	// call, 0 when the workspace is cold.
-	warmN int
+	w, v     *Matrix
+	d        EigenDecomposition
+	vecArena []complex128
+	idx      []int
+	diag     []float64
 }
-
-// Reset drops the retained warm-start basis. Buffers stay allocated.
-//
-//spotfi:noalloc
-func (ws *EigenWorkspace) Reset() { ws.warmN = 0 }
 
 // EigHermitian computes all eigenvalues and orthonormal eigenvectors of the
 // Hermitian matrix a using the cyclic Jacobi method with complex rotations.
@@ -73,9 +56,9 @@ func (ws *EigenWorkspace) Reset() { ws.warmN = 0 }
 // The method applies unitary similarity transforms A ← GᴴAG that each zero
 // one off-diagonal pair, cycling over all pairs until the off-diagonal
 // Frobenius mass falls below jacobiTol relative to the initial norm. Jacobi
-// is slower than tridiagonalization+QL but is simple, backward-stable, and
-// delivers small residuals ‖Av−λv‖ — exactly what the MUSIC noise-subspace
-// projector needs.
+// is slower than TopEigenInto's tridiagonal solve but is simple and
+// backward-stable, with small residuals ‖Av−λv‖; ESPRIT and the
+// antenna-only baseline use it, and tests hold TopEigenInto to it.
 func EigHermitian(a *Matrix) (*EigenDecomposition, error) {
 	return EigHermitianInto(a, &EigenWorkspace{})
 }
@@ -93,31 +76,20 @@ func EigHermitianInto(a *Matrix, ws *EigenWorkspace) (*EigenDecomposition, error
 	scale := a.FrobeniusNorm()
 	if scale == 0 {
 		// Zero matrix: zero spectrum, canonical basis.
-		ws.warmN = 0
 		return canonicalDecompositionInto(a.rows, ws), nil //lint:allow arenaescape documented borrow: the decomposition views ws storage until the next call
 	}
 	if !a.isHermitianFast(1e-9 * scale) {
-		ws.warmN = 0
 		return nil, ErrNotHermitian
 	}
 	n := a.rows
 	ws.w = Reshape(ws.w, n, n)
 	w := ws.w
-	if ws.warmN == n {
-		// Warm start: rotate A into the previous eigenbasis. For inputs
-		// close to the previous one this lands W nearly diagonal, and the
-		// thresholded sweeps below skip almost every rotation.
-		ws.tmp = Reshape(ws.tmp, n, n)
-		mulInto(ws.tmp, a, ws.v)
-		conjTransposeMulInto(w, ws.v, ws.tmp)
-	} else {
-		copy(w.data, a.data)
-		ws.v = Reshape(ws.v, n, n)
-		ws.v.SetIdentity()
-	}
+	copy(w.data, a.data)
+	ws.v = Reshape(ws.v, n, n)
 	v := ws.v
-	// Enforce exact symmetry so rounding (in the caller, or in the warm
-	// similarity transform) cannot bias rotations.
+	v.SetIdentity()
+	// Enforce exact symmetry so rounding in the caller cannot bias
+	// rotations.
 	for i := 0; i < n; i++ {
 		w.data[i*n+i] = complex(real(w.data[i*n+i]), 0)
 		for j := i + 1; j < n; j++ {
@@ -129,17 +101,15 @@ func EigHermitianInto(a *Matrix, ws *EigenWorkspace) (*EigenDecomposition, error
 
 	// Pivots below skipThresh are left in place: even if every pair sits
 	// exactly at the threshold the off-diagonal norm stays under
-	// jacobiTol·scale/2, so the sweep-level convergence check still fires.
-	// Skipping tiny pivots is where the warm start pays off — converged
-	// regions of the matrix cost one comparison instead of three O(n)
-	// update loops.
+	// jacobiTol·scale/2, so the sweep-level convergence check still fires,
+	// and converged regions of the matrix cost one comparison instead of
+	// three O(n) update loops.
 	skipThresh := jacobiTol * scale / float64(2*n)
 	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		off := offDiagonalNorm(w)
 		if off <= jacobiTol*scale {
 			d := collectEigenInto(w, v, ws)
 			d.Sweeps = sweep
-			ws.warmN = n
 			return d, nil //lint:allow arenaescape documented borrow: the decomposition views ws storage until the next call
 		}
 		for p := 0; p < n-1; p++ {
@@ -154,10 +124,8 @@ func EigHermitianInto(a *Matrix, ws *EigenWorkspace) (*EigenDecomposition, error
 		// Converged for every practical purpose; accept the result.
 		d := collectEigenInto(w, v, ws)
 		d.Sweeps = jacobiMaxSweeps
-		ws.warmN = n
 		return d, nil //lint:allow arenaescape documented borrow: the decomposition views ws storage until the next call
 	}
-	ws.warmN = 0
 	return nil, ErrNoConvergence
 }
 
@@ -279,8 +247,7 @@ func offDiagonalNorm(m *Matrix) float64 {
 
 // collectEigenInto sorts the converged diagonal of w into ws's result
 // storage, copying the matching eigenvector columns of v into the
-// workspace arena. v itself is left untouched — it is the accumulated
-// basis the next warm start builds on.
+// workspace arena.
 //
 //spotfi:noalloc
 func collectEigenInto(w, v *Matrix, ws *EigenWorkspace) *EigenDecomposition {
@@ -291,9 +258,8 @@ func collectEigenInto(w, v *Matrix, ws *EigenWorkspace) *EigenDecomposition {
 		idx[i] = i
 		diag[i] = real(w.data[i*n+i])
 	}
-	// Insertion sort, descending by eigenvalue: allocation-free (unlike
-	// sort.Slice's closure) and near-linear on the almost-sorted diagonals
-	// the warm-started iterations produce.
+	// Insertion sort, descending by eigenvalue: allocation-free, unlike
+	// sort.Slice's closure.
 	for i := 1; i < n; i++ {
 		cur := idx[i]
 		key := diag[cur]

@@ -1,6 +1,8 @@
 // Package cmat provides dense complex-valued vectors and matrices together
-// with the numerical routines SpotFi needs: Hermitian products, norms, and a
-// cyclic-Jacobi Hermitian eigendecomposition.
+// with the numerical routines SpotFi needs: Hermitian products, norms, a
+// cyclic-Jacobi Hermitian eigendecomposition, and a direct solver for the
+// dominant eigenpairs (Householder tridiagonalization, QL, inverse
+// iteration).
 //
 // The package is self-contained (stdlib only). Matrices are stored row-major
 // in a single backing slice; all dimensions are fixed at construction.
@@ -253,59 +255,6 @@ func (m *Matrix) GramInto(out *Matrix) *Matrix {
 		}
 	}
 	return out
-}
-
-// mulInto computes a·b into out without allocating. out must not alias a
-// or b.
-//
-//spotfi:noalloc
-func mulInto(out, a, b *Matrix) {
-	if a.cols != b.rows || out.rows != a.rows || out.cols != b.cols {
-		panic("cmat: mulInto dimension mismatch")
-	}
-	for i := range out.data {
-		out.data[i] = 0
-	}
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		orow := out.data[i*b.cols : (i+1)*b.cols]
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.data[k*b.cols : (k+1)*b.cols]
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-}
-
-// conjTransposeMulInto computes aᴴ·b into out without allocating. out must
-// not alias a or b.
-//
-//spotfi:noalloc
-func conjTransposeMulInto(out, a, b *Matrix) {
-	if a.rows != b.rows || out.rows != a.cols || out.cols != b.cols {
-		panic("cmat: conjTransposeMulInto dimension mismatch")
-	}
-	for i := range out.data {
-		out.data[i] = 0
-	}
-	for k := 0; k < a.rows; k++ {
-		arow := a.data[k*a.cols : (k+1)*a.cols]
-		brow := b.data[k*b.cols : (k+1)*b.cols]
-		for i, aki := range arow {
-			c := cmplx.Conj(aki)
-			if c == 0 {
-				continue
-			}
-			orow := out.data[i*out.cols : (i+1)*out.cols]
-			for j, bkj := range brow {
-				orow[j] += c * bkj
-			}
-		}
-	}
 }
 
 // isHermitianFast is IsHermitian with a cheap bit-exact prepass: matrices

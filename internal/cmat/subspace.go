@@ -1,73 +1,92 @@
 package cmat
 
 import (
+	"errors"
 	"math"
-	"math/cmplx"
 )
 
-// Subspace iteration parameters. Convergence is judged by the Ritz
-// residuals ‖A·y − λ·y‖ of the pairs that matter (see TopEigenInto), so
-// the criterion is self-validating: a small residual proves the pair is
-// converged no matter how few iterations ran.
-const (
-	topEigenTol      = 3e-6
-	topEigenMaxIters = 200
-)
+// ErrNotFinite is returned by TopEigenInto when the input holds a NaN or
+// an infinity.
+var ErrNotFinite = errors.New("cmat: matrix has a non-finite entry")
 
-// TopEigenWorkspace owns the scratch of TopEigenInto: the iteration block,
-// its image under A, the small Ritz problem (solved with a warm-started
-// Jacobi — the Ritz matrix barely moves between iterations), and the
-// result storage. Single-goroutine; the zero value is ready to use.
+// TopEigenWorkspace owns the scratch of TopEigenInto: the scaled working
+// copy of the input, which the tridiagonal reduction overwrites with its
+// reflectors, the real tridiagonal and its eigenvalues, the inverse
+// iteration's factorization and vectors, and the result storage.
+// Single-goroutine; the zero value is ready to use.
 //
 //spotfi:arena
 type TopEigenWorkspace struct {
-	q, z, s  *Matrix
-	sw       EigenWorkspace
-	d        EigenDecomposition
+	h        []complex128 // n×n, row i holds column i of the lower triangle, then reflector i
+	tau      []complex128 // reflector scalars
+	p        []complex128 // reduction scratch
+	d, e     []float64    // the real tridiagonal: diagonal and off-diagonal
+	w, e2    []float64    // QL working copies: eigenvalues, squared off-diagonal
+	order    []int        // eigenvalue indices by descending value
+	lu       triLU        // factorization of T − λI for inverse iteration
+	z        []float64    // k×n real tridiagonal eigenvectors
+	res      EigenDecomposition
 	vecArena []complex128
 }
 
 // TopEigenInto computes the k dominant eigenpairs of the Hermitian matrix
-// a by blocked orthogonal iteration with Rayleigh–Ritz extraction,
-// reusing ws's arenas. The returned decomposition holds exactly k Values
-// and Vectors in descending order (or all n when k ≥ n, where it falls
-// back to the full Jacobi decomposition); its storage is owned by ws and
-// overwritten by the next call.
+// a by a direct solve, reusing ws's arenas. The returned decomposition
+// holds min(k, n) Values and Vectors in descending order (at least one);
+// its storage is owned by ws and overwritten by the next call. Sweeps
+// counts the QL iterations of the eigenvalue step.
 //
-// thresh ∈ [0, 1) declares which pairs need converged eigenvectors: those
-// with Ritz value ≥ thresh·λ₁ (the dominant pair always does). Pairs below
-// the threshold get a representative value — accurate enough to stay below
-// the threshold — but their vectors are not iterated to convergence. That
-// is exactly MUSIC's contract: the signal eigenvectors and the
-// signal/noise eigenvalue split matter, while diagonalizing the rotating,
-// nearly degenerate noise cluster is pure waste (and its degeneracy makes
-// waiting for it to settle hopeless). Pass thresh = 0 to require full
-// convergence of all k pairs.
+// The solve scales a by a power of two so that its largest component
+// lies in [½, 1): the reduction then cannot overflow, even for entries
+// near 1e±300, and the scaling itself is exact. It reduces the lower
+// triangle to a real symmetric tridiagonal T with Householder reflectors
+// (each reflector also absorbs the phase of its subdiagonal entry, as
+// LAPACK zhetrd does), finds every eigenvalue of T by square-root-free
+// implicit QL (LAPACK dsterf), and computes the eigenvectors of the top
+// k by inverse iteration on T (LAPACK dstein: eigenvalues closer than
+// 10⁻³·‖T‖₁ form a cluster, and each vector is reorthogonalized against
+// the earlier vectors of its cluster), back-transformed through the
+// reflectors. Every pair is accurate to working precision relative to
+// ‖a‖, so the k vectors are orthonormal even when eigenvalues repeat.
 //
-// The iteration is deterministic: a fixed canonical starting block and no
-// state carried across calls.
+// A matrix with no normal-range entry (zero, or an underflowed
+// covariance whose entries are all subnormal) has the zero spectrum and
+// gets the canonical basis. A non-finite entry returns ErrNotFinite, and
+// one that breaks Hermitian symmetry by more than 10⁻⁹ of the largest
+// component returns ErrNotHermitian.
+//
+// The solve is deterministic and carries no state across calls: the
+// inverse iteration's pseudo-random start vectors restart from a fixed
+// seed every call.
 //
 //spotfi:noalloc
-func TopEigenInto(a *Matrix, k int, thresh float64, ws *TopEigenWorkspace) (*EigenDecomposition, error) {
+func TopEigenInto(a *Matrix, k int, ws *TopEigenWorkspace) (*EigenDecomposition, error) {
 	n := a.rows
 	if a.cols != n {
 		return nil, ErrNotHermitian
 	}
-	if k >= n {
-		ws.sw.Reset()
-		return EigHermitianInto(a, &ws.sw) //lint:allow arenaescape documented borrow: the decomposition views ws storage until the next call
+	k = max(1, min(k, n))
+	// x − x is 0 for finite x and NaN otherwise, so one sum flags every
+	// non-finite entry without overflowing on large finite ones.
+	var amax, nonFinite float64
+	for _, v := range a.data {
+		re, im := real(v), imag(v)
+		nonFinite += (re - re) + (im - im)
+		if x := math.Abs(re); x > amax {
+			amax = x
+		}
+		if x := math.Abs(im); x > amax {
+			amax = x
+		}
 	}
-	if k < 1 {
-		k = 1
+	if nonFinite != 0 {
+		return nil, ErrNotFinite
 	}
-	scale := a.FrobeniusNorm()
-	if scale == 0 {
+	if amax < 0x1p-1022 {
 		d := ws.prepare(n, k)
 		for i := range d.Values {
 			d.Values[i] = 0
 		}
-		for i := range d.Vectors {
-			vec := d.Vectors[i]
+		for i, vec := range d.Vectors {
 			for j := range vec {
 				vec[j] = 0
 			}
@@ -75,96 +94,84 @@ func TopEigenInto(a *Matrix, k int, thresh float64, ws *TopEigenWorkspace) (*Eig
 		}
 		return d, nil //lint:allow arenaescape documented borrow: the decomposition views ws storage until the next call
 	}
-	if !a.isHermitianFast(1e-9 * scale) {
+	if !a.isHermitianFast(1e-9 * amax) {
 		return nil, ErrNotHermitian
 	}
-
-	ws.q = Reshape(ws.q, n, k)
-	ws.z = Reshape(ws.z, n, k)
-	ws.s = Reshape(ws.s, k, k)
-	// Deterministic start: the first k canonical basis vectors. The
-	// iteration must not inherit state from a previous (unrelated) call,
-	// so the small Ritz solver's warm start is reset too — it warms up
-	// across the iterations of this call only.
-	for c := 0; c < k; c++ {
-		ws.q.data[c*k+c] = 1
+	_, exp := math.Frexp(amax)
+	ws.grow(n, k)
+	scale := complex(math.Ldexp(1, -exp), 0)
+	for i := 0; i < n; i++ {
+		row := ws.h[i*n : (i+1)*n]
+		for j := i; j < n; j++ {
+			row[j] = a.data[j*n+i] * scale
+		}
 	}
-	ws.sw.Reset()
+	ws.tridiagonalize(n)
 
-	for iter := 1; iter <= topEigenMaxIters; iter++ {
-		mulInto(ws.z, a, ws.q)                 // Z = A·Q
-		conjTransposeMulInto(ws.s, ws.q, ws.z) // S = Qᴴ·A·Q
-		eigS, err := EigHermitianInto(ws.s, &ws.sw)
-		if err != nil {
-			break // corrupt input; let the Jacobi fallback report it
-		}
-		lambda1 := eigS.Values[0]
-		floor := thresh * lambda1
-		rtol2 := topEigenTol * topEigenTol * lambda1 * lambda1
-		if lambda1 <= 0 {
-			// Indefinite or negative-definite input: no scale to
-			// classify against, demand convergence of everything
-			// relative to the Frobenius norm.
-			floor = math.Inf(1) * -1
-			rtol2 = topEigenTol * topEigenTol * scale * scale
-		}
-		converged := true
-		for j := 0; j < k; j++ {
-			v := eigS.Values[j]
-			if j > 0 && v < floor {
-				break // below threshold: value-only accuracy suffices
-			}
-			if ritzResidual2(ws.z, ws.q, eigS.Vectors[j], v) > rtol2 {
-				converged = false
-				break
-			}
-		}
-		if converged {
-			// Rotate the block onto the Ritz vectors, V_j = Q·u_j,
-			// pairing each returned vector with its Ritz value.
-			d := ws.prepare(n, k)
-			for j := 0; j < k; j++ {
-				d.Values[j] = eigS.Values[j]
-				u := eigS.Vectors[j]
-				vec := d.Vectors[j]
-				for r := 0; r < n; r++ {
-					var sum complex128
-					qrow := ws.q.data[r*k : (r+1)*k]
-					for c, qc := range qrow {
-						sum += qc * u[c]
-					}
-					vec[r] = sum
-				}
-				Normalize(vec)
-			}
-			d.Sweeps = iter
-			return d, nil //lint:allow arenaescape documented borrow: the decomposition views ws storage until the next call
-		}
-		orthonormalizeColumns(ws.z, ws.q, scale, iter)
+	copy(ws.w, ws.d)
+	for i, v := range ws.e[:n-1] {
+		ws.e2[i] = v * v
 	}
-	// The iteration did not settle (pathological spectrum or corrupt
-	// input): fall back to the full, unconditionally-convergent Jacobi.
-	ws.sw.Reset()
-	return EigHermitianInto(a, &ws.sw) //lint:allow arenaescape documented borrow: the decomposition views ws storage until the next call
+	sweeps, ok := tridiagEigenvalues(ws.w, ws.e2)
+	if !ok {
+		return nil, ErrNoConvergence
+	}
+	order := ws.order
+	for i := range order {
+		order[i] = i
+	}
+	// Insertion sort, descending and stable: allocation-free, and n is
+	// the covariance dimension (30 for MUSIC).
+	for i := 1; i < n; i++ {
+		cur := order[i]
+		j := i - 1
+		for j >= 0 && ws.w[order[j]] < ws.w[cur] {
+			order[j+1] = order[j]
+			j--
+		}
+		order[j+1] = cur
+	}
+
+	d := ws.prepare(n, k)
+	for j := 0; j < k; j++ {
+		d.Values[j] = ws.w[order[j]]
+	}
+	ws.inverseIteration(d.Values, n)
+	for j, vec := range d.Vectors {
+		for r, x := range ws.z[j*n : (j+1)*n] {
+			vec[r] = complex(x, 0)
+		}
+	}
+	ws.backTransform(d.Vectors)
+	for j, vec := range d.Vectors {
+		Normalize(vec)
+		d.Values[j] = math.Ldexp(d.Values[j], exp)
+	}
+	d.Sweeps = sweeps
+	return d, nil //lint:allow arenaescape documented borrow: the decomposition views ws storage until the next call
 }
 
-// ritzResidual2 returns ‖A·y − v·y‖² for the Ritz pair (v, y = Q·u),
-// using A·y = Z·u (Z = A·Q): the squared norm of (Z − v·Q)·u.
+// grow sizes the solver scratch for an n×n input and k vectors.
 //
 //spotfi:noalloc
-func ritzResidual2(z, q *Matrix, u []complex128, v float64) float64 {
-	n, k := z.rows, z.cols
-	vv := complex(v, 0)
-	var sum float64
-	for row := 0; row < n; row++ {
-		base := row * k
-		var acc complex128
-		for c, uc := range u {
-			acc += (z.data[base+c] - vv*q.data[base+c]) * uc
-		}
-		sum += real(acc)*real(acc) + imag(acc)*imag(acc)
+func (ws *TopEigenWorkspace) grow(n, k int) {
+	if cap(ws.h) < n*n {
+		ws.h = make([]complex128, n*n) //lint:allow noalloc first-call arena growth, cold by construction
+		ws.tau = make([]complex128, n) //lint:allow noalloc first-call arena growth, cold by construction
+		ws.p = make([]complex128, n)   //lint:allow noalloc first-call arena growth, cold by construction
+		ws.d = make([]float64, n)      //lint:allow noalloc first-call arena growth, cold by construction
+		ws.e = make([]float64, n)      //lint:allow noalloc first-call arena growth, cold by construction
+		ws.w = make([]float64, n)      //lint:allow noalloc first-call arena growth, cold by construction
+		ws.e2 = make([]float64, n)     //lint:allow noalloc first-call arena growth, cold by construction
+		ws.order = make([]int, n)      //lint:allow noalloc first-call arena growth, cold by construction
+		ws.lu.grow(n)
 	}
-	return sum
+	if cap(ws.z) < n*k {
+		ws.z = make([]float64, n*k) //lint:allow noalloc first-call arena growth, cold by construction
+	}
+	ws.h, ws.tau, ws.p = ws.h[:n*n], ws.tau[:n], ws.p[:n]
+	ws.d, ws.e, ws.w, ws.e2, ws.order = ws.d[:n], ws.e[:n], ws.w[:n], ws.e2[:n], ws.order[:n]
+	ws.z = ws.z[:n*k]
 }
 
 // prepare sizes the workspace result storage for k eigenpairs of length n.
@@ -173,95 +180,17 @@ func ritzResidual2(z, q *Matrix, u []complex128, v float64) float64 {
 func (ws *TopEigenWorkspace) prepare(n, k int) *EigenDecomposition {
 	if cap(ws.vecArena) < n*k {
 		ws.vecArena = make([]complex128, n*k) //lint:allow noalloc first-call arena growth, cold by construction
-		ws.d.Values = make([]float64, k)      //lint:allow noalloc first-call arena growth, cold by construction
-		ws.d.Vectors = make([][]complex128, k)
+	}
+	if cap(ws.res.Values) < k {
+		ws.res.Values = make([]float64, k) //lint:allow noalloc first-call arena growth, cold by construction
+		ws.res.Vectors = make([][]complex128, k)
 	}
 	ws.vecArena = ws.vecArena[:n*k]
-	if cap(ws.d.Values) < k {
-		ws.d.Values = make([]float64, k) //lint:allow noalloc dimension change re-sizes the result storage, cold by construction
-		ws.d.Vectors = make([][]complex128, k)
-	}
-	ws.d.Values = ws.d.Values[:k]
-	ws.d.Vectors = ws.d.Vectors[:k]
+	ws.res.Values = ws.res.Values[:k]
+	ws.res.Vectors = ws.res.Vectors[:k]
 	for i := 0; i < k; i++ {
-		ws.d.Vectors[i] = ws.vecArena[i*n : (i+1)*n]
+		ws.res.Vectors[i] = ws.vecArena[i*n : (i+1)*n]
 	}
-	ws.d.Sweeps = 0
-	return &ws.d
-}
-
-// orthonormalizeColumns overwrites dst with an orthonormal basis of src's
-// column span via modified Gram–Schmidt with one reorthogonalization pass.
-// A rank-deficient column (the covariance had fewer independent directions
-// than the block is wide — the noiseless synthetic case) is replaced
-// deterministically by the next canonical basis vector orthogonalized
-// against the block, so the iteration always carries a full-rank block.
-//
-//spotfi:noalloc
-func orthonormalizeColumns(src, dst *Matrix, scale float64, iter int) {
-	n, k := src.rows, src.cols
-	copy(dst.data, src.data)
-	eps := 1e-14 * scale
-	for c := 0; c < k; c++ {
-		for pass := 0; pass < 2; pass++ {
-			for p := 0; p < c; p++ {
-				// r = col_pᴴ·col_c
-				var r complex128
-				for row := 0; row < n; row++ {
-					base := row * k
-					r += cmplx.Conj(dst.data[base+p]) * dst.data[base+c]
-				}
-				for row := 0; row < n; row++ {
-					base := row * k
-					dst.data[base+c] -= r * dst.data[base+p]
-				}
-			}
-		}
-		if !normalizeColumn(dst, c, eps) {
-			// Deficient: cycle deterministically through canonical
-			// vectors until one survives orthogonalization.
-			for seed := 0; seed < n; seed++ {
-				e := (c + iter + seed) % n
-				for row := 0; row < n; row++ {
-					dst.data[row*k+c] = 0
-				}
-				dst.data[e*k+c] = 1
-				for p := 0; p < c; p++ {
-					var r complex128
-					for row := 0; row < n; row++ {
-						base := row * k
-						r += cmplx.Conj(dst.data[base+p]) * dst.data[base+c]
-					}
-					for row := 0; row < n; row++ {
-						base := row * k
-						dst.data[base+c] -= r * dst.data[base+p]
-					}
-				}
-				if normalizeColumn(dst, c, 1e-3) {
-					break
-				}
-			}
-		}
-	}
-}
-
-// normalizeColumn scales column c of m to unit norm, reporting false (and
-// leaving the column unspecified) when its norm is at or below eps.
-//
-//spotfi:noalloc
-func normalizeColumn(m *Matrix, c int, eps float64) bool {
-	var sum float64
-	for row := 0; row < m.rows; row++ {
-		v := m.data[row*m.cols+c]
-		sum += real(v)*real(v) + imag(v)*imag(v)
-	}
-	norm := math.Sqrt(sum)
-	if norm <= eps {
-		return false
-	}
-	inv := complex(1/norm, 0)
-	for row := 0; row < m.rows; row++ {
-		m.data[row*m.cols+c] *= inv
-	}
-	return true
+	ws.res.Sweeps = 0
+	return &ws.res
 }

@@ -82,29 +82,18 @@ func TestTopEigenMatchesFullDecomposition(t *testing.T) {
 			t.Fatalf("full: %v", err)
 		}
 		var ws TopEigenWorkspace
-		top, err := TopEigenInto(a, k, thresh, &ws)
+		top, err := TopEigenInto(a, k, &ws)
 		if err != nil {
 			t.Fatalf("top: %v", err)
 		}
 		if len(top.Values) != k || len(top.Vectors) != k {
 			t.Fatalf("got %d values, %d vectors, want %d", len(top.Values), len(top.Vectors), k)
 		}
-		lim := 1e-5 * full.Values[0]
+		// Every value is exact to working precision, below the signal
+		// threshold as well as above it.
 		for i := 0; i < k; i++ {
-			if i == 0 || top.Values[i] >= thresh*top.Values[0] {
-				// Above the threshold the values must match tightly.
-				if math.Abs(top.Values[i]-full.Values[i]) > lim {
-					t.Errorf("trial %d value %d: top %.9g full %.9g", trial, i, top.Values[i], full.Values[i])
-				}
-				continue
-			}
-			// Below the threshold the contract is a representative value:
-			// a Rayleigh quotient over the residual subspace, so it must
-			// interlace — at most the true λᵢ, at least the smallest
-			// eigenvalue.
-			if top.Values[i] > full.Values[i]+lim || top.Values[i] < full.Values[n-1]-lim {
-				t.Errorf("trial %d noise value %d: top %.9g outside [%.9g, %.9g]",
-					trial, i, top.Values[i], full.Values[n-1], full.Values[i])
+			if math.Abs(top.Values[i]-full.Values[i]) > 1e-12*full.Values[0] {
+				t.Errorf("trial %d value %d: top %.15g full %.15g", trial, i, top.Values[i], full.Values[i])
 			}
 		}
 		// Above-threshold (signal) eigenvectors must match the full
@@ -112,7 +101,7 @@ func TestTopEigenMatchesFullDecomposition(t *testing.T) {
 		// eigenvalues are well separated by construction.
 		for i := 0; i < k && top.Values[i] >= thresh*top.Values[0]; i++ {
 			dot := cmplx.Abs(Dot(top.Vectors[i], full.Vectors[i]))
-			if math.Abs(dot-1) > 1e-4 {
+			if math.Abs(dot-1) > 1e-10 {
 				t.Errorf("trial %d vector %d: |<top,full>| = %.9f, want 1", trial, i, dot)
 			}
 		}
@@ -121,18 +110,15 @@ func TestTopEigenMatchesFullDecomposition(t *testing.T) {
 
 func TestTopEigenResiduals(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const n, k, thresh = 30, 6, 0.015
+	const n, k = 30, 6
 	lambdas := gappedSpectrum(rng, n, 4)
 	a := spectrumHermitian(t, rng, lambdas)
 	var ws TopEigenWorkspace
-	d, err := TopEigenInto(a, k, thresh, &ws)
+	d, err := TopEigenInto(a, k, &ws)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < k; i++ {
-		if d.Values[i] < thresh*d.Values[0] && i > 0 {
-			break // noise pairs carry no residual guarantee
-		}
 		var res float64
 		for r := 0; r < n; r++ {
 			var av complex128
@@ -142,22 +128,24 @@ func TestTopEigenResiduals(t *testing.T) {
 			diff := av - complex(d.Values[i], 0)*d.Vectors[i][r]
 			res += real(diff)*real(diff) + imag(diff)*imag(diff)
 		}
-		if math.Sqrt(res) > 1e-5*d.Values[0] {
+		// Every pair, signal or noise, is converged to working precision.
+		if math.Sqrt(res) > 1e-12*d.Values[0] {
 			t.Errorf("pair %d residual %.3g too large", i, math.Sqrt(res))
 		}
 	}
 }
 
 func TestTopEigenRankDeficient(t *testing.T) {
-	// Rank-2 matrix, block width 4: the iteration must repair the
-	// deficient columns and still return finite, orthonormal vectors.
+	// Rank-2 matrix, four pairs asked for: the two null-space pairs
+	// (a repeated zero eigenvalue) must still come back finite and
+	// orthonormal.
 	rng := rand.New(rand.NewSource(3))
 	const n, k = 12, 4
 	lambdas := make([]float64, n)
 	lambdas[0], lambdas[1] = 5, 2
 	a := spectrumHermitian(t, rng, lambdas)
 	var ws TopEigenWorkspace
-	d, err := TopEigenInto(a, k, 0.015, &ws)
+	d, err := TopEigenInto(a, k, &ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +173,7 @@ func TestTopEigenRankDeficient(t *testing.T) {
 
 func TestTopEigenZeroMatrixAndFullWidth(t *testing.T) {
 	var ws TopEigenWorkspace
-	d, err := TopEigenInto(New(6, 6), 3, 0.015, &ws)
+	d, err := TopEigenInto(New(6, 6), 3, &ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +183,14 @@ func TestTopEigenZeroMatrixAndFullWidth(t *testing.T) {
 		}
 	}
 
-	// k ≥ n delegates to the full decomposition.
+	// k ≥ n returns all n pairs.
 	rng := rand.New(rand.NewSource(5))
 	a := spectrumHermitian(t, rng, []float64{4, 3, 2, 1})
 	full, err := EigHermitian(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err = TopEigenInto(a, 4, 0.015, &ws)
+	d, err = TopEigenInto(a, 4, &ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +209,7 @@ func TestTopEigenRejectsNonHermitian(t *testing.T) {
 	a.Set(0, 1, 1)
 	a.Set(1, 0, 2) // not the conjugate
 	var ws TopEigenWorkspace
-	if _, err := TopEigenInto(a, 2, 0.015, &ws); err == nil {
+	if _, err := TopEigenInto(a, 2, &ws); err == nil {
 		t.Fatal("expected ErrNotHermitian")
 	}
 }
@@ -236,10 +224,10 @@ func TestTopEigenDeterministic(t *testing.T) {
 		var ws TopEigenWorkspace
 		// Interleave an unrelated decomposition to prove no cross-call
 		// state leaks into the result for a.
-		if _, err := TopEigenInto(b, 6, 0.015, &ws); err != nil {
+		if _, err := TopEigenInto(b, 6, &ws); err != nil {
 			t.Fatal(err)
 		}
-		d, err := TopEigenInto(a, 6, 0.015, &ws)
+		d, err := TopEigenInto(a, 6, &ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +253,11 @@ func TestTopEigenSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := spectrumHermitian(t, rng, gappedSpectrum(rng, 30, 3))
 	var ws TopEigenWorkspace
-	if _, err := TopEigenInto(a, 6, 0.015, &ws); err != nil {
+	if _, err := TopEigenInto(a, 6, &ws); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := TopEigenInto(a, 6, 0.015, &ws); err != nil {
+		if _, err := TopEigenInto(a, 6, &ws); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -278,6 +266,9 @@ func TestTopEigenSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEigHermitianIntoWarmMatchesCold: a workspace that has already
+// decomposed a nearby matrix (warm arenas) must give the same answer as a
+// fresh one; nothing numerical carries between calls.
 func TestEigHermitianIntoWarmMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	base := spectrumHermitian(t, rng, gappedSpectrum(rng, 12, 3))
@@ -286,7 +277,7 @@ func TestEigHermitianIntoWarmMatchesCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 5; trial++ {
-		// Perturb: warm basis is stale but the result must still be exact.
+		// Perturb, so the workspace last held a different matrix.
 		next := base.Clone()
 		for i := 0; i < next.Rows(); i++ {
 			for j := i; j < next.Cols(); j++ {
@@ -331,5 +322,179 @@ func TestEigHermitianIntoSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state EigHermitianInto allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// checkTopPairs requires d to hold the k dominant pairs of a: values
+// within tol·λ₁ of the full Jacobi decomposition's, orthonormal vectors,
+// residuals ‖A·v − λ·v‖ ≤ tol·λ₁, and each vector inside the span of the
+// full decomposition's vectors for its (possibly repeated) eigenvalue.
+func checkTopPairs(t *testing.T, a *Matrix, d *EigenDecomposition, k int, tol float64) {
+	t.Helper()
+	full, err := EigHermitian(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.Rows()
+	scale := math.Abs(full.Values[0])
+	if len(d.Values) != k || len(d.Vectors) != k {
+		t.Fatalf("got %d values, %d vectors, want %d", len(d.Values), len(d.Vectors), k)
+	}
+	for i := 0; i < k; i++ {
+		if math.Abs(d.Values[i]-full.Values[i]) > tol*scale {
+			t.Errorf("value %d: %.15g, Jacobi %.15g", i, d.Values[i], full.Values[i])
+		}
+		for j := 0; j < k; j++ {
+			want := 0.0
+			if i == j {
+				want = 1
+			}
+			if got := cmplx.Abs(Dot(d.Vectors[i], d.Vectors[j])); math.Abs(got-want) > 1e-12 {
+				t.Errorf("|<v%d,v%d>| = %.15f, want %v", i, j, got, want)
+			}
+		}
+		var res float64
+		for r := 0; r < n; r++ {
+			var av complex128
+			for c := 0; c < n; c++ {
+				av += a.At(r, c) * d.Vectors[i][c]
+			}
+			diff := av - complex(d.Values[i], 0)*d.Vectors[i][r]
+			res += real(diff)*real(diff) + imag(diff)*imag(diff)
+		}
+		if math.Sqrt(res) > tol*scale {
+			t.Errorf("pair %d residual %.3g > %.3g", i, math.Sqrt(res), tol*scale)
+		}
+		// Project v_i onto the Jacobi eigenvectors whose values tie with
+		// λ_i: the projection must keep its whole norm.
+		var inSpan float64
+		for j := 0; j < n; j++ {
+			if math.Abs(full.Values[j]-d.Values[i]) <= 1e-9*scale {
+				dot := cmplx.Abs(Dot(d.Vectors[i], full.Vectors[j]))
+				inSpan += dot * dot
+			}
+		}
+		if math.Abs(inSpan-1) > 1e-9 {
+			t.Errorf("vector %d keeps %.12f of its norm in its eigenspace, want 1", i, inSpan)
+		}
+	}
+}
+
+// TestTopEigenRepeatedEigenvalues: exactly repeated eigenvalues above and
+// below the signal threshold, and an exactly flat noise floor (σ²·I plus
+// a low-rank signal, the noiseless MUSIC covariance), must come back as
+// orthonormal vectors spanning each repeated eigenspace.
+func TestTopEigenRepeatedEigenvalues(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	spectra := map[string][]float64{
+		"triple-top":   {5, 5, 5, 2, 2, 1, 0.5, 0.25, 0.125, 0.0625, 0.03, 0.01},
+		"paired":       {9, 4, 4, 3, 3, 3, 1, 1, 0.5, 0.5, 0.1, 0.1},
+		"flat-noise":   {8, 3, 1, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01},
+		"all-equal":    {2, 2, 2, 2, 2, 2},
+		"zero-cluster": {4, 0, 0, 0, 0, 0, 0, 0},
+	}
+	for name, lambdas := range spectra {
+		t.Run(name, func(t *testing.T) {
+			a := spectrumHermitian(t, rng, lambdas)
+			k := min(6, len(lambdas))
+			var ws TopEigenWorkspace
+			d, err := TopEigenInto(a, k, &ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkTopPairs(t, a, d, k, 1e-12)
+		})
+	}
+	// Diagonal input: the tridiagonal is already split everywhere.
+	a := New(5, 5)
+	for i, v := range []float64{1, 3, 3, 2, 3} {
+		a.Set(i, i, complex(v, 0))
+	}
+	var ws TopEigenWorkspace
+	d, err := TopEigenInto(a, 4, &ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTopPairs(t, a, d, 4, 1e-14)
+}
+
+// TestTopEigenScaledInput: the solve scales its input by a power of two
+// before reducing, so a covariance of magnitude 1e±150 (entries up to
+// 1e300, whose squares overflow) decomposes like its unit-scale twin,
+// as do mixed 1e150/1e-150 magnitudes. A covariance with no normal-range
+// entry is zero for the solver: canonical basis, zero spectrum. A
+// non-finite entry is an error.
+func TestTopEigenScaledInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	base := spectrumHermitian(t, rng, gappedSpectrum(rng, 30, 3))
+	var ws TopEigenWorkspace
+	ref, err := TopEigenInto(base, 6, &ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refVals := append([]float64(nil), ref.Values...)
+	refVecs := make([][]complex128, len(ref.Vectors))
+	for i, v := range ref.Vectors {
+		refVecs[i] = append([]complex128(nil), v...)
+	}
+	for _, s := range []float64{1e150, 1e300, 1e-150, 1e-300} {
+		a := base.Scale(complex(s, 0))
+		d, err := TopEigenInto(a, 6, &ws)
+		if err != nil {
+			t.Fatalf("scale %g: %v", s, err)
+		}
+		// Jacobi cannot take a matrix whose squared norm leaves the
+		// float64 range, so judge the pairs, values rescaled, against the
+		// unit-scale matrix.
+		unscaled := &EigenDecomposition{Vectors: d.Vectors}
+		for _, v := range d.Values {
+			unscaled.Values = append(unscaled.Values, v/s)
+		}
+		checkTopPairs(t, base, unscaled, 6, 1e-12)
+		for i := range refVals {
+			if math.Abs(d.Values[i]/s-refVals[i]) > 1e-12*refVals[0] {
+				t.Errorf("scale %g value %d: %.15g, unit-scale %.15g", s, i, d.Values[i]/s, refVals[i])
+			}
+		}
+		for i := 0; i < 3; i++ { // the well-separated signal pairs
+			if dot := cmplx.Abs(Dot(d.Vectors[i], refVecs[i])); math.Abs(dot-1) > 1e-12 {
+				t.Errorf("scale %g vector %d: |<v,v_ref>| = %.15f", s, i, dot)
+			}
+		}
+	}
+
+	// Mixed magnitudes: a 1e150-scaled signal on a 1e-150-scaled floor.
+	mixed := New(12, 12)
+	sig := spectrumHermitian(t, rng, []float64{3, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	floor := spectrumHermitian(t, rng, []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	for i := 0; i < 12; i++ {
+		for j := 0; j < 12; j++ {
+			mixed.Set(i, j, 1e150*sig.At(i, j)+1e-150*floor.At(i, j))
+		}
+	}
+	d, err := TopEigenInto(mixed, 4, &ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTopPairs(t, mixed, d, 4, 1e-12)
+
+	// Subnormal entries only: an underflowed covariance.
+	sub := base.Scale(0x1p-1060)
+	d, err = TopEigenInto(sub, 6, &ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range d.Values {
+		if d.Values[i] != 0 || d.Vectors[i][i] != 1 || cmplx.Abs(Dot(d.Vectors[i], d.Vectors[i])) != 1 {
+			t.Fatalf("subnormal covariance: pair %d = %v, %v, want the canonical basis", i, d.Values[i], d.Vectors[i])
+		}
+	}
+
+	for _, bad := range []complex128{complex(math.NaN(), 0), complex(0, math.Inf(1)), complex(math.Inf(-1), 0)} {
+		a := base.Clone()
+		a.Set(3, 3, bad)
+		if _, err := TopEigenInto(a, 6, &ws); err != ErrNotFinite {
+			t.Errorf("entry %v: error %v, want ErrNotFinite", bad, err)
+		}
 	}
 }

@@ -256,6 +256,38 @@ func TestBundleFramesAreSFT1(t *testing.T) {
 	}
 }
 
+// TestRetiredTriggerBundleLoads: a bundle dumped under a trigger kind the
+// recorder no longer registers ("shed-floor", retired because nothing
+// fired it) loads and lists with its kind intact, and dumping it touches
+// no registered counter.
+func TestRetiredTriggerBundleLoads(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := newTestRecorder(t, func(c *Config) { c.Registry = reg })
+	r.TapPacket(testPacket(0, 1))
+	name, err := r.DumpNow(TriggerKind("shed-floor"), "written before the kind was retired")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBundle(r.BundlePath(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Manifest.Trigger != "shed-floor" || len(b.Packets) != 1 {
+		t.Fatalf("loaded trigger %q with %d packets, want shed-floor with 1", b.Manifest.Trigger, len(b.Packets))
+	}
+	if list := ListBundles(r.cfg.Dir); len(list) != 1 || list[0].Trigger != "shed-floor" {
+		t.Fatalf("ListBundles = %+v, want the one shed-floor bundle", list)
+	}
+	for _, k := range TriggerKinds() {
+		if k == "shed-floor" {
+			t.Fatal("shed-floor is still a registered trigger kind")
+		}
+		if v := r.dumps[k].Value(); v != 0 {
+			t.Fatalf("dump counter %s = %d, want 0", k, v)
+		}
+	}
+}
+
 func TestFixCoverageReflectsEviction(t *testing.T) {
 	r := newTestRecorder(t, func(c *Config) { c.FramesPerAP = 4 })
 	early := []*csi.Packet{testPacket(0, 1), testPacket(0, 2)}

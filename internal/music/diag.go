@@ -3,14 +3,15 @@ package music
 import "math"
 
 // Diag carries per-packet DSP diagnostics from one estimator run — the
-// intermediate quantities (eigen iteration count, signal/noise eigenvalue
+// intermediate quantities (eigensolver iteration count, signal/noise eigenvalue
 // separation, grid extent, peak yield) that burst traces attach to the
 // estimate span so a bad localization can be attributed to its stage.
 type Diag struct {
 	// EigenSweeps is the iteration count of the covariance eigensolver.
-	// For MUSIC it counts cmat.TopEigenInto's subspace iterations, or the
-	// Jacobi sweeps when that solver falls back to the full
-	// decomposition; for ESPRIT it counts the Jacobi sweeps on the
+	// For MUSIC it counts the implicit QL iterations cmat.TopEigenInto's
+	// tridiagonal eigenvalue step ran over all of the covariance's
+	// eigenvalues (about 52 for a 30×30 noisy multipath covariance, 0
+	// for a zero one); for ESPRIT it counts the Jacobi sweeps on the
 	// antenna covariance.
 	EigenSweeps int
 	// SignalDim is the estimated signal-subspace dimension (number of

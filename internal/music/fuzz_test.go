@@ -46,11 +46,13 @@ func csiFromBytes(data []byte, antennas, subcarriers int) *csi.Matrix {
 	return m
 }
 
-// FuzzEstimatePaths feeds adversarial but finite 3×30 CSI to the
-// estimator. Every input must be rejected with an error or yield finite
-// paths equal to the brute-force dense reference; a panic or a NaN power
-// fails.
-func FuzzEstimatePaths(f *testing.F) {
+// estimateFuzzSeeds are FuzzEstimatePaths's seed packets, 3×30 CSI at the
+// corners of the estimator's input space: rank-1 (one noiseless path, so
+// the covariance has a single nonzero eigenvalue), identical across
+// subcarriers (each antenna reports one value), near zero (the covariance
+// underflows to zero), mixed 1e150 and 1e-150 entries side by side, and
+// plain noise.
+func estimateFuzzSeeds() []*csi.Matrix {
 	band := rf.DefaultBand()
 	array := rf.DefaultArray(band)
 	rng := rand.New(rand.NewSource(1))
@@ -63,27 +65,36 @@ func FuzzEstimatePaths(f *testing.F) {
 		}
 		return m
 	}
-	// Rank-1: one noiseless path, so every packet's covariance has a
-	// single nonzero eigenvalue.
-	f.Add(csiBytes(buildCSI(band, array, []PathEstimate{{AoA: 0.4, ToF: 20e-9}}, []complex128{1})))
-	// Identical across subcarriers: each antenna reports one value.
 	identical := csi.NewMatrix(array.Antennas, band.Subcarriers)
 	for a := range identical.Values {
 		for s := range identical.Values[a] {
 			identical.Values[a][s] = complex(1+float64(a), -0.5*float64(a))
 		}
 	}
-	f.Add(csiBytes(identical))
-	// Near zero: the covariance underflows.
-	f.Add(csiBytes(random(func(int, int) float64 { return 1e-300 })))
-	// Mixed magnitudes: 1e150 and 1e-150 entries side by side.
-	f.Add(csiBytes(random(func(a, s int) float64 {
-		if (a+s)%2 == 0 {
-			return 1e150
-		}
-		return 1e-150
-	})))
-	f.Add(csiBytes(random(func(int, int) float64 { return 1 })))
+	return []*csi.Matrix{
+		buildCSI(band, array, []PathEstimate{{AoA: 0.4, ToF: 20e-9}}, []complex128{1}),
+		identical,
+		random(func(int, int) float64 { return 1e-300 }),
+		random(func(a, s int) float64 {
+			if (a+s)%2 == 0 {
+				return 1e150
+			}
+			return 1e-150
+		}),
+		random(func(int, int) float64 { return 1 }),
+	}
+}
+
+// FuzzEstimatePaths feeds adversarial but finite 3×30 CSI to the
+// estimator. Every input must be rejected with an error or yield finite
+// paths equal to the brute-force dense reference; a panic or a NaN power
+// fails.
+func FuzzEstimatePaths(f *testing.F) {
+	band := rf.DefaultBand()
+	array := rf.DefaultArray(band)
+	for _, c := range estimateFuzzSeeds() {
+		f.Add(csiBytes(c))
+	}
 
 	e, err := NewEstimator(DefaultParams())
 	if err != nil {

@@ -23,13 +23,14 @@ type Spectrum struct {
 // CSI matrices.
 //
 // Concurrency contract: an Estimator owns mutable workspace arenas (the
-// smoothed-CSI matrix, the eigendecomposition scratch, the sweep's
-// column forms), so it is single-goroutine — one goroutine per Estimator
-// at a time. The expensive pure-geometry precomputation (grids and steering
-// powers) lives in a shared read-only steeringTable obtained from the
-// package steering cache, so constructing extra estimators for extra
-// goroutines is cheap; callers that fan out across goroutines should keep
-// a pool of estimators (see the localizer's sync.Pool).
+// covariance, the eigensolver scratch, the sweep's correlation
+// coefficients and column forms), so it is single-goroutine — one
+// goroutine per Estimator at a time. The expensive pure-geometry
+// precomputation (grids and steering powers) lives in a shared read-only
+// steeringTable obtained from the package steering cache, so constructing
+// extra estimators for extra goroutines is cheap; callers that fan out
+// across goroutines should keep a pool of estimators (see the localizer's
+// sync.Pool).
 //
 //spotfi:arena
 type Estimator struct {
@@ -42,18 +43,21 @@ type Estimator struct {
 
 	// Workspace arenas, reused across calls. Everything below is reset or
 	// overwritten by each estimate; nothing escapes to callers.
-	smooth *cmat.Matrix
-	gram   *cmat.Matrix
-	eigWS  cmat.TopEigenWorkspace
+	gram  *cmat.Matrix
+	eigWS cmat.TopEigenWorkspace
 
 	// vecs/cut are the signal eigenvectors of the current packet,
 	// borrowed from eigWS between eigendecomposition and sweep.
 	vecs [][]complex128
 	cut  int
 
-	// w[k*subAnt+a] = v_k[a-th block]ᴴ·o(τ) for the τ-column being
-	// formed.
-	w []complex128
+	// The signal eigenvectors' block correlations, from which columnQ
+	// forms every τ-column (see correlate): acf[m] = R_m, the lag-m
+	// autocorrelation summed over blocks and vectors, and for antenna
+	// pair c, at offset c·subSub, xsum[m] = ρ_m + ρ_−m and
+	// xdif[m] = i·(ρ_m − ρ_−m) of its cross-correlation ρ (xsum[0] = ρ_0,
+	// xdif[0] = 0).
+	acf, xsum, xdif []complex128
 	// qd[j%3] and qp[(j%3)·nPair:] hold the block forms of the last
 	// three τ-columns: Σ_a q_aa and q_ab (a<b) of column j.
 	qd [3]float64
@@ -75,7 +79,9 @@ func NewEstimator(p Params) (*Estimator, error) {
 		tab:     tab,
 		thetas:  tab.thetas,
 		taus:    tab.taus,
-		w:       make([]complex128, p.MaxPaths*tab.subAnt),
+		acf:     make([]complex128, tab.subSub),
+		xsum:    make([]complex128, tab.nPair*tab.subSub),
+		xdif:    make([]complex128, tab.nPair*tab.subSub),
 		qp:      make([]complex128, 3*tab.nPair),
 		scratch: make([]PathEstimate, 0, 32),
 	}
@@ -141,9 +147,9 @@ func (e *Estimator) Spectrum(c *csi.Matrix) (*Spectrum, error) {
 	return spec, nil //lint:allow arenaescape Thetas/Taus alias the immutable shared steering table, safe to hold
 }
 
-// prepare runs the front half of the pipeline — smoothing, covariance,
-// eigendecomposition — and leaves the signal eigenvectors in vecs/cut for
-// the sweep.
+// prepare runs the front half of the pipeline — covariance,
+// eigendecomposition, and the signal eigenvectors' correlations — and
+// leaves the signal eigenvectors in vecs/cut for the sweep.
 //
 //spotfi:noalloc
 func (e *Estimator) prepare(c *csi.Matrix) (int, *cmat.EigenDecomposition, error) {
@@ -154,21 +160,22 @@ func (e *Estimator) prepare(c *csi.Matrix) (int, *cmat.EigenDecomposition, error
 		return 0, nil, fmt.Errorf("music: CSI is %dx%d, estimator expects %dx%d", //lint:allow noalloc rejection path; a mis-sized packet never reaches the sweep twice
 			c.Antennas(), c.Subcarriers(), e.p.Array.Antennas, e.p.Band.Subcarriers)
 	}
-	e.smooth = SmoothCSIInto(c, e.p.SubarrayAntennas, e.p.SubarraySubcarriers, e.smooth)
-	e.gram = cmat.Reshape(e.gram, e.smooth.Rows(), e.smooth.Rows())
-	e.smooth.GramInto(e.gram)
+	rows := e.p.SubarrayAntennas * e.p.SubarraySubcarriers
+	e.gram = cmat.Reshape(e.gram, rows, rows)
+	smoothedGramInto(c, e.p.SubarrayAntennas, e.p.SubarraySubcarriers, e.gram)
 	// Only the top MaxPaths+1 eigenpairs matter: MaxPaths caps the signal
 	// dimension, and one extra value below the cut supplies the
 	// signal/noise threshold split and the eigen-gap diagnostic. The
 	// sweep never touches noise eigenvectors — columnQ projects through
 	// the signal subspace complement.
-	eig, err := cmat.TopEigenInto(e.gram, e.p.MaxPaths+1, e.p.EigenThreshold, &e.eigWS)
+	eig, err := cmat.TopEigenInto(e.gram, e.p.MaxPaths+1, &e.eigWS)
 	if err != nil {
 		return 0, nil, fmt.Errorf("music: covariance eigendecomposition: %w", err) //lint:allow noalloc corrupt-covariance path, cold by construction
 	}
 	dim := eig.SignalDimension(e.p.EigenThreshold, e.p.MaxPaths)
 	e.cut = eig.SignalCut(e.p.EigenThreshold, e.p.MaxPaths)
 	e.vecs = eig.Vectors[:e.cut]
+	e.correlate()
 	return dim, eig, nil
 }
 
@@ -396,42 +403,97 @@ func (t *steeringTable) candidateRows(qd float64, qp []complex128, dst []rowSpan
 	return dst
 }
 
+// correlate computes, once per packet, the correlation coefficients of
+// the signal eigenvectors' antenna blocks that columnQ reads. With x_ka
+// the a-th subSub-long block of v_k and ρ^{ab}_m = Σ_k Σ_s
+// x_ka[s]·conj(x_kb[s+m]), it stores the autocorrelation sum
+// R_m = Σ_a ρ^{aa}_m for m ≥ 0 (R_−m = conj R_m) in acf, and each
+// antenna pair's ρ^{ab} in xsum and xdif, folded as columnQ consumes it.
+//
+//spotfi:noalloc
+func (e *Estimator) correlate() {
+	subAnt, subSub := e.tab.subAnt, e.tab.subSub
+	for m := range e.acf {
+		e.acf[m] = 0
+	}
+	for _, v := range e.vecs {
+		for a := 0; a < subAnt; a++ {
+			x := v[a*subSub : (a+1)*subSub]
+			for m := range e.acf {
+				var sum complex128
+				for s, xs := range x[:subSub-m] {
+					sum += xs * cmplx.Conj(x[s+m])
+				}
+				e.acf[m] += sum
+			}
+		}
+	}
+	c := 0
+	for a := 0; a < subAnt; a++ {
+		for b := a + 1; b < subAnt; b++ {
+			xsum, xdif := e.xsum[c*subSub:(c+1)*subSub], e.xdif[c*subSub:(c+1)*subSub]
+			xsum[0], xdif[0] = e.crossCorrelation(a, b, 0), 0
+			for m := 1; m < subSub; m++ {
+				pos, neg := e.crossCorrelation(a, b, m), e.crossCorrelation(a, b, -m)
+				xsum[m], xdif[m] = pos+neg, complex(0, 1)*(pos-neg)
+			}
+			c++
+		}
+	}
+}
+
+// crossCorrelation returns ρ^{ab}_m = Σ_k Σ_s x_ka[s]·conj(x_kb[s+m]) over
+// the signal eigenvectors, s and s+m both within the block.
+//
+//spotfi:noalloc
+func (e *Estimator) crossCorrelation(a, b, m int) complex128 {
+	subSub := e.tab.subSub
+	lo, hi := max(0, -m), min(subSub, subSub-m)
+	var sum complex128
+	for _, v := range e.vecs {
+		x, y := v[a*subSub:(a+1)*subSub], v[b*subSub:(b+1)*subSub]
+		for s := lo; s < hi; s++ {
+			sum += x[s] * cmplx.Conj(y[s+m])
+		}
+	}
+	return sum
+}
+
 // columnQ computes the block quadratic forms of τ-column j — the diagonal
 // sum Σ_a q_aa, returned, and the off-diagonal q_ab for a<b, written to
 // qp. Rather than materializing the noise projector E_N·E_Nᴴ, it uses the
 // complement identity P_N = I − Σ_k v_k·v_kᴴ over the few signal
 // eigenvectors: q_ab = δ_ab·‖o‖² − Σ_k conj(w_ka)·w_kb with
-// w_ka = v_k[block a]ᴴ·o(τ_j).
+// w_ka = v_k[block a]ᴴ·o(τ_j). Because o_s = z^s with |z| = 1, the sum
+// over k is a polynomial in z whose coefficients are the blocks'
+// correlations: Σ_k conj(w_ka)·w_kb = Σ_m z^m·ρ^{ab}_m (see correlate),
+// read with z^m = o_m and z^−m = conj(o_m) from the steering table. So a
+// column costs O(subSub) per form, whatever the signal dimension. The
+// forms equal the explicit projections to within a few ulps of
+// subAnt·‖o‖² (TestColumnFormsMatchProjection states the bound).
 //
 //spotfi:noalloc
 func (e *Estimator) columnQ(j int, qp []complex128) float64 {
-	subAnt, subSub := e.tab.subAnt, e.tab.subSub
+	subSub := e.tab.subSub
 	o := e.tab.omega[j*subSub : (j+1)*subSub]
-	w := e.w[:e.cut*subAnt]
-	for k, v := range e.vecs {
-		for a := 0; a < subAnt; a++ {
-			blk := v[a*subSub : (a+1)*subSub]
-			var sum complex128
-			for s, os := range o {
-				sum += cmplx.Conj(blk[s]) * os
-			}
-			w[k*subAnt+a] = sum
-		}
+	acf := e.acf[:len(o)]
+	// Σ_a Σ_k |w_ka|² = R_0 + 2·Re Σ_{m≥1} z^m·R_m.
+	var re float64
+	for m := 1; m < len(o); m++ {
+		re += real(o[m])*real(acf[m]) - imag(o[m])*imag(acf[m])
 	}
-	qd := float64(subAnt) * e.tab.omegaNorm[j]
-	for _, wv := range w {
-		qd -= real(wv)*real(wv) + imag(wv)*imag(wv)
-	}
-	c := 0
-	for a := 0; a < subAnt; a++ {
-		for b := a + 1; b < subAnt; b++ {
-			var sum complex128
-			for k := 0; k < e.cut; k++ {
-				sum += cmplx.Conj(w[k*subAnt+a]) * w[k*subAnt+b]
-			}
-			qp[c] = -sum
-			c++
+	qd := float64(e.tab.subAnt)*e.tab.omegaNorm[j] - (real(acf[0]) + 2*re)
+	// −q_ab = ρ_0 + Σ_{m≥1} Re(z^m)·(ρ_m + ρ_−m) + Im(z^m)·i·(ρ_m − ρ_−m).
+	for c := range qp {
+		xsum := e.xsum[c*subSub : c*subSub+len(o)]
+		xdif := e.xdif[c*subSub : c*subSub+len(o)]
+		sr, si := real(xsum[0]), imag(xsum[0])
+		for m := 1; m < len(o); m++ {
+			x, y := real(o[m]), imag(o[m])
+			sr += x*real(xsum[m]) + y*real(xdif[m])
+			si += x*imag(xsum[m]) + y*imag(xdif[m])
 		}
+		qp[c] = complex(-sr, -si)
 	}
 	return qd
 }

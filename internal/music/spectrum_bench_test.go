@@ -73,8 +73,8 @@ func BenchmarkSpectrumColdEstimator(b *testing.B) {
 
 // BenchmarkSpectrumVaryingPackets feeds a stream of 16 different noisy
 // packets of the same scene through one estimator, the shape of a burst.
-// Nothing numerical carries from one packet to the next (TopEigenInto
-// starts every call from the same block), so it measures what
+// Nothing numerical carries from one packet to the next (TopEigenInto is
+// a direct solve with no start block), so it measures what
 // BenchmarkSpectrumSweep does, averaged over packets. It reports cells/op
 // like BenchmarkSpectrumSweep.
 func BenchmarkSpectrumVaryingPackets(b *testing.B) {

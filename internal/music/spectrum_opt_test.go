@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"spotfi/internal/cmat"
 	"spotfi/internal/csi"
 	"spotfi/internal/rf"
 )
@@ -116,45 +117,21 @@ func complexPow(z complex128, n int) complex128 {
 }
 
 // denseReference is the brute-force dense sweep the streaming kernel must
-// reproduce: it evaluates P = 1/clamp(qd + 2·cross) over the whole grid
-// from the signal eigenvectors e's last estimate left in vecs/cut, keeps
-// every interior cell no 8-neighbour strictly exceeds, refines, sorts,
-// dedupes and truncates to count. It returns the peaks (nil for none) and
-// the flattened spectrum (row-major by θ).
+// reproduce: from the column forms the estimator's columnQ computes for
+// its last estimate, it evaluates P = 1/clamp(qd + 2·cross) over the
+// whole grid, keeps every interior cell no 8-neighbour strictly exceeds,
+// refines, sorts, dedupes and truncates to count. The row certificate is
+// exact with respect to those forms, so the sweep must match bit for bit;
+// TestColumnFormsMatchProjection holds the forms themselves to the
+// explicit projections. It returns the peaks (nil for none) and the
+// flattened spectrum (row-major by θ).
 func denseReference(e *Estimator, count int) ([]PathEstimate, []float64) {
 	tab := e.tab
 	nt, nu := len(e.thetas), len(e.taus)
-	subAnt, subSub := tab.subAnt, tab.subSub
 	spec := make([]float64, nt*nu)
-	w := make([]complex128, e.cut*subAnt)
 	qp := make([]complex128, tab.nPair)
 	for j := 0; j < nu; j++ {
-		o := tab.omega[j*subSub : (j+1)*subSub]
-		for k, v := range e.vecs {
-			for a := 0; a < subAnt; a++ {
-				blk := v[a*subSub : (a+1)*subSub]
-				var sum complex128
-				for s, os := range o {
-					sum += cmplx.Conj(blk[s]) * os
-				}
-				w[k*subAnt+a] = sum
-			}
-		}
-		qd := float64(subAnt) * tab.omegaNorm[j]
-		for _, wv := range w {
-			qd -= real(wv)*real(wv) + imag(wv)*imag(wv)
-		}
-		c := 0
-		for a := 0; a < subAnt; a++ {
-			for b := a + 1; b < subAnt; b++ {
-				var sum complex128
-				for k := 0; k < e.cut; k++ {
-					sum += cmplx.Conj(w[k*subAnt+a]) * w[k*subAnt+b]
-				}
-				qp[c] = -sum
-				c++
-			}
-		}
+		qd := e.columnQ(j, qp)
 		for i := 0; i < nt; i++ {
 			pr := tab.pair[i*tab.nPair : (i+1)*tab.nPair]
 			var cross float64
@@ -308,38 +285,37 @@ func randomPaths(rng *rand.Rand) ([]PathEstimate, []complex128) {
 	return paths, gains
 }
 
-// TestSweepMatchesDenseReference is the exactness guarantee of the
-// streaming sweep: across thousands of seeded random multipath packets,
-// with one and with three antenna pairs and on a 20 MHz band, the paths
-// and the spectrum equal the brute-force dense reference bit for bit. The
-// noiseless packets put every other one's single path exactly on a grid
-// point, where the denominator mostly hits the 1e-18 clamp; the flat ones
-// scale the CSI down until the covariance underflows, so every interior
-// cell ties with its vertical neighbours and is a candidate. On the noisy
-// default corpus the sweep must also evaluate fewer than 4,000
-// denominators per packet on average, of the grid's 36,381: a sweep that
-// fell back to every row would still be exact, and only its cost shows
-// it.
-func TestSweepMatchesDenseReference(t *testing.T) {
+// corpus is a seeded family of test packets for one estimator
+// configuration: csi builds packet n from a generator seeded by the
+// corpus index and n.
+type corpus struct {
+	name    string
+	p       Params
+	packets int
+	csi     func(e *Estimator, rng *rand.Rand, n int) *csi.Matrix
+}
+
+// sweepCorpora are the packet families the structured front end is held
+// to: 3,000 noisy multipath packets on the default configuration;
+// noiseless packets, every other one a single path exactly on a grid
+// point, where the denominator mostly hits the 1e-18 clamp; flat packets,
+// scaled down until the covariance underflows, so every interior cell
+// ties with its vertical neighbours; and noisy packets with three antenna
+// pairs and on a 20 MHz band.
+func sweepCorpora() []corpus {
 	threePairs := DefaultParams()
 	threePairs.SubarrayAntennas = 3
 	band20 := DefaultParams()
 	band20.Band = rf.Band20MHz()
 	band20.Array = rf.DefaultArray(band20.Band)
 	band20.SubarraySubcarriers = 14
-	type corpus struct {
-		name    string
-		p       Params
-		packets int
-		csi     func(e *Estimator, rng *rand.Rand, n int) *csi.Matrix
-	}
 	noisy := func(e *Estimator, rng *rand.Rand, _ int) *csi.Matrix {
 		paths, gains := randomPaths(rng)
 		c := buildCSI(e.p.Band, e.p.Array, paths, gains)
 		addNoise(c, 0.02+0.28*rng.Float64(), rng)
 		return c
 	}
-	corpora := []corpus{
+	return []corpus{
 		{"default", DefaultParams(), 3000, noisy},
 		{"noiseless", DefaultParams(), 300, func(e *Estimator, rng *rand.Rand, n int) *csi.Matrix {
 			paths, gains := randomPaths(rng)
@@ -360,7 +336,43 @@ func TestSweepMatchesDenseReference(t *testing.T) {
 		{"three-antenna-pairs", threePairs, 300, noisy},
 		{"20MHz", band20, 300, noisy},
 	}
-	for ci, cp := range corpora {
+}
+
+// forEachPacket runs fn as one subtest per corpus of sweepCorpora, plus
+// one over FuzzEstimatePaths's seeds, on every packet with an estimator
+// built for the corpus.
+func forEachPacket(t *testing.T, fn func(t *testing.T, e *Estimator, c *csi.Matrix)) {
+	for ci, cp := range sweepCorpora() {
+		t.Run(cp.name, func(t *testing.T) {
+			e, err := NewEstimator(cp.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; n < cp.packets; n++ {
+				fn(t, e, cp.csi(e, rand.New(rand.NewSource(int64(ci)<<32|int64(n))), n))
+			}
+		})
+	}
+	t.Run("fuzz-seeds", func(t *testing.T) {
+		e, err := NewEstimator(DefaultParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range estimateFuzzSeeds() {
+			fn(t, e, c)
+		}
+	})
+}
+
+// TestSweepMatchesDenseReference is the exactness guarantee of the
+// streaming sweep: on every packet of sweepCorpora the paths and the
+// spectrum equal the brute-force dense reference bit for bit. On the
+// noisy default corpus the sweep must also evaluate fewer than 4,000
+// denominators per packet on average, of the grid's 36,381: a sweep that
+// fell back to every row would still be exact, and only its cost shows
+// it.
+func TestSweepMatchesDenseReference(t *testing.T) {
+	for ci, cp := range sweepCorpora() {
 		t.Run(cp.name, func(t *testing.T) {
 			e, err := NewEstimator(cp.p)
 			if err != nil {
@@ -380,6 +392,105 @@ func TestSweepMatchesDenseReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSmoothedGramMatchesDense holds the covariance the estimator builds
+// from the block-Hankel structure to the dense product
+// SmoothCSI(c).Gram() on every packet of sweepCorpora and on the fuzz
+// seeds. The sliding window sums round differently: each entry must lie
+// within 2⁻⁴⁴·max|G| of the dense one, plus 2⁻¹⁰⁶⁴ for the flat packets,
+// whose products are subnormal and round in absolute steps of 2⁻¹⁰⁷⁴.
+// Both matrices must be exactly Hermitian with a real diagonal.
+func TestSmoothedGramMatchesDense(t *testing.T) {
+	var worst float64
+	forEachPacket(t, func(t *testing.T, e *Estimator, c *csi.Matrix) {
+		p := e.p
+		want := SmoothCSI(c, p.SubarrayAntennas, p.SubarraySubcarriers).Gram()
+		rows := want.Rows()
+		got := cmat.New(rows, rows)
+		smoothedGramInto(c, p.SubarrayAntennas, p.SubarraySubcarriers, got)
+		var gmax float64
+		for i := 0; i < rows; i++ {
+			gmax = math.Max(gmax, cmplx.Abs(want.At(i, i)))
+		}
+		bound := 0x1p-44*gmax + 0x1p-1064
+		for i := 0; i < rows; i++ {
+			if imag(got.At(i, i)) != 0 {
+				t.Fatalf("diagonal entry %d = %v is not real", i, got.At(i, i))
+			}
+			for j := 0; j < rows; j++ {
+				if got.At(i, j) != cmplx.Conj(got.At(j, i)) { //lint:allow floateq exact Hermitian symmetry is the contract
+					t.Fatalf("entry (%d,%d) is not the conjugate of (%d,%d)", i, j, j, i)
+				}
+				d := cmplx.Abs(got.At(i, j) - want.At(i, j))
+				if !(d <= bound) {
+					t.Fatalf("entry (%d,%d): structured %v, dense %v, |Δ| %.3g > bound %.3g", i, j, got.At(i, j), want.At(i, j), d, bound)
+				}
+				if gmax > 0x1p-900 {
+					worst = math.Max(worst, d/gmax)
+				}
+			}
+		}
+	})
+	t.Logf("largest |Δ|/max|G| on normal-range covariances: %.3g (bound 2⁻⁴⁴ = %.3g)", worst, 0x1p-44)
+}
+
+// TestColumnFormsMatchProjection holds columnQ's correlation-polynomial
+// forms to the explicit projections they replace, w_ka = v_k[block a]ᴴ·o
+// and q_ab = δ_ab·‖o‖² − Σ_k conj(w_ka)·w_kb, on every τ-column of every
+// packet of sweepCorpora and of the fuzz seeds: qd and each q_ab must lie
+// within 2⁻⁴⁴·subAnt·‖o‖² of them.
+func TestColumnFormsMatchProjection(t *testing.T) {
+	var worst float64
+	forEachPacket(t, func(t *testing.T, e *Estimator, c *csi.Matrix) {
+		if _, _, err := e.prepare(c); err != nil {
+			t.Fatal(err)
+		}
+		tab := e.tab
+		subAnt, subSub := tab.subAnt, tab.subSub
+		w := make([]complex128, e.cut*subAnt)
+		qp := make([]complex128, tab.nPair)
+		for j := range e.taus {
+			qd := e.columnQ(j, qp)
+			o := tab.omega[j*subSub : (j+1)*subSub]
+			for k, v := range e.vecs {
+				for a := 0; a < subAnt; a++ {
+					var sum complex128
+					for s, os := range o {
+						sum += cmplx.Conj(v[a*subSub+s]) * os
+					}
+					w[k*subAnt+a] = sum
+				}
+			}
+			scale := float64(subAnt) * tab.omegaNorm[j]
+			bound := 0x1p-44 * scale
+			wantQd := scale
+			for _, wv := range w {
+				wantQd -= real(wv)*real(wv) + imag(wv)*imag(wv)
+			}
+			if d := math.Abs(qd - wantQd); !(d <= bound) {
+				t.Fatalf("column %d: qd %v, projection %v, |Δ| %.3g > bound %.3g", j, qd, wantQd, d, bound)
+			} else {
+				worst = math.Max(worst, d/scale)
+			}
+			pc := 0
+			for a := 0; a < subAnt; a++ {
+				for b := a + 1; b < subAnt; b++ {
+					var want complex128
+					for k := 0; k < e.cut; k++ {
+						want -= cmplx.Conj(w[k*subAnt+a]) * w[k*subAnt+b]
+					}
+					if d := cmplx.Abs(qp[pc] - want); !(d <= bound) {
+						t.Fatalf("column %d pair (%d,%d): q %v, projection %v, |Δ| %.3g > bound %.3g", j, a, b, qp[pc], want, d, bound)
+					} else {
+						worst = math.Max(worst, d/scale)
+					}
+					pc++
+				}
+			}
+		}
+	})
+	t.Logf("largest |Δ|/(subAnt·‖o‖²): %.3g (bound 2⁻⁴⁴ = %.3g)", worst, 0x1p-44)
 }
 
 // TestSweepCandidateFilterIsExact plants a cell of denominator d with one

@@ -70,26 +70,16 @@ func geometricSeries(z complex128, n int) []complex128 {
 // grid. For the paper's 3×30 system with a 2×15 window this yields a 30×32
 // matrix whose columns are independent linear combinations of the same
 // steering vectors, which is what lets MUSIC resolve more paths than
-// antennas.
+// antennas. The estimator never forms it: smoothedGramInto computes its
+// Gram matrix straight from the CSI.
 func SmoothCSI(c *csi.Matrix, subAnt, subSub int) *cmat.Matrix {
-	return SmoothCSIInto(c, subAnt, subSub, nil)
-}
-
-// SmoothCSIInto is SmoothCSI writing into dst's storage when its capacity
-// suffices (see cmat.Reshape); pass nil to allocate. It returns the matrix
-// actually used.
-//
-//spotfi:noalloc
-func SmoothCSIInto(c *csi.Matrix, subAnt, subSub int, dst *cmat.Matrix) *cmat.Matrix {
 	m, n := c.Antennas(), c.Subcarriers()
 	antShifts := m - subAnt + 1
 	subShifts := n - subSub + 1
 	if antShifts < 1 || subShifts < 1 {
 		panic("music: smoothing window larger than CSI matrix")
 	}
-	rows := subAnt * subSub
-	cols := antShifts * subShifts
-	x := cmat.Reshape(dst, rows, cols)
+	x := cmat.New(subAnt*subSub, antShifts*subShifts)
 	col := 0
 	for b := 0; b < antShifts; b++ {
 		for t := 0; t < subShifts; t++ {
@@ -103,4 +93,62 @@ func SmoothCSIInto(c *csi.Matrix, subAnt, subSub int, dst *cmat.Matrix) *cmat.Ma
 		}
 	}
 	return x
+}
+
+// smoothedGramInto writes G = X·Xᴴ into g, where X = SmoothCSI(c, subAnt,
+// subSub), without forming X. X is block-Hankel, so its Gram matrix is
+// too: entry ((a, s), (a′, s′)) is Σ_b Σ_t C[a+b][s+t]·conj(C[a′+b][s′+t])
+// over the antShifts antenna and subShifts subcarrier placements, and
+// along each diagonal s′ − s = δ of each subSub×subSub block the next
+// entry is the last one plus the sample pair that enters the subcarrier
+// window and minus the pair that leaves it. Each diagonal costs one full
+// window sum and then 2·antShifts products per entry, against
+// antShifts·subShifts per entry for the dense product. g is exactly
+// Hermitian, with a real diagonal. The sliding sums round differently
+// from the dense product: each entry is within a few hundred ulps of
+// max_i G_ii of it (TestSmoothedGramMatchesDense states the bound).
+//
+//spotfi:noalloc
+func smoothedGramInto(c *csi.Matrix, subAnt, subSub int, g *cmat.Matrix) {
+	antShifts := c.Antennas() - subAnt + 1
+	subShifts := c.Subcarriers() - subSub + 1
+	for a := 0; a < subAnt; a++ {
+		for a2 := a; a2 < subAnt; a2++ {
+			lo := 0
+			if a2 > a {
+				lo = 1 - subSub
+			}
+			for delta := lo; delta < subSub; delta++ {
+				s := max(0, -delta)
+				var sum complex128
+				for b := 0; b < antShifts; b++ {
+					x, y := c.Values[a+b][s:], c.Values[a2+b][s+delta:]
+					for t := 0; t < subShifts; t++ {
+						sum += x[t] * cmplx.Conj(y[t])
+					}
+				}
+				setHermitian(g, a*subSub+s, a2*subSub+s+delta, sum)
+				for s++; s < subSub && s+delta < subSub; s++ {
+					for b := 0; b < antShifts; b++ {
+						x, y := c.Values[a+b], c.Values[a2+b]
+						in := x[s-1+subShifts] * cmplx.Conj(y[s-1+delta+subShifts])
+						sum += in - x[s-1]*cmplx.Conj(y[s-1+delta])
+					}
+					setHermitian(g, a*subSub+s, a2*subSub+s+delta, sum)
+				}
+			}
+		}
+	}
+}
+
+// setHermitian sets g[i][j] = v and g[j][i] = conj(v), or g[i][i] = Re v.
+//
+//spotfi:noalloc
+func setHermitian(g *cmat.Matrix, i, j int, v complex128) {
+	if i == j {
+		g.Set(i, i, complex(real(v), 0))
+		return
+	}
+	g.Set(i, j, v)
+	g.Set(j, i, cmplx.Conj(v))
 }
