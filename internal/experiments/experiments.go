@@ -175,10 +175,9 @@ func deploymentAPs(d *testbed.Deployment) []spotfi.AP {
 
 // newLocalizer builds a pipeline for deployment d. Workers=1 because the
 // experiment already parallelizes across targets.
-func newLocalizer(d *testbed.Deployment, seed int64) (*spotfi.Localizer, error) {
+func newLocalizer(d *testbed.Deployment) (*spotfi.Localizer, error) {
 	cfg := spotfi.DefaultConfig(d.Bounds)
 	cfg.Workers = 1
-	cfg.Seed = seed
 	return spotfi.New(cfg, deploymentAPs(d))
 }
 
@@ -345,9 +344,4 @@ func sanitizedEstimates(d *testbed.Deployment, est *music.Estimator, burst []*cs
 		out = append(out, paths)
 	}
 	return out
-}
-
-// burstRNG returns a deterministic RNG for clustering in experiment ex.
-func burstRNG(seed int64, ex, t int) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + int64(ex)*7919 + int64(t)))
 }

@@ -131,7 +131,7 @@ func Fig5cClusters(opts Options) (*Result, error) {
 	}
 	cfg := dpath.DefaultConfig()
 	cfg.Cluster = cluster.Config{K: 5, MaxIters: 100, Restarts: 8}
-	res, err := dpath.Identify(perPacket, cfg, burstRNG(opts.Seed, 5, 0))
+	res, err := dpath.Identify(perPacket, cfg, opts.Seed*1_000_003+5*7919)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func figure7(id, title string, mk func(int64) *testbed.Deployment, opts Options)
 	var spotfiErrs, atErrs, atSynErrs []float64
 	for _, seed := range opts.seeds() {
 		d := mk(seed)
-		loc, err := newLocalizer(d, seed)
+		loc, err := newLocalizer(d)
 		if err != nil {
 			return nil, err
 		}

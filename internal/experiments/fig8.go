@@ -164,7 +164,7 @@ func Fig8bSelection(opts Options) (*Result, error) {
 					if len(perPacket) == 0 {
 						continue
 					}
-					res, err := dpath.Identify(perPacket, dpath.DefaultConfig(), burstRNG(opts.Seed, 8, t*100+a))
+					res, err := dpath.Identify(perPacket, dpath.DefaultConfig(), opts.Seed*1_000_003+8*7919+int64(t*100+a))
 					if err != nil {
 						continue
 					}

@@ -17,7 +17,7 @@ func Fig9aDensity(opts Options) (*Result, error) {
 	pooled := make([][]float64, len(ks))
 	for _, seed := range opts.seeds() {
 		d := testbed.Office(seed)
-		loc, err := newLocalizer(d, seed)
+		loc, err := newLocalizer(d)
 		if err != nil {
 			return nil, err
 		}
@@ -62,7 +62,7 @@ func Fig9bPackets(opts Options) (*Result, error) {
 	pooled := make([][]float64, len(counts))
 	for _, seed := range opts.seeds() {
 		d := testbed.Office(seed)
-		loc, err := newLocalizer(d, seed)
+		loc, err := newLocalizer(d)
 		if err != nil {
 			return nil, err
 		}
@@ -84,33 +84,4 @@ func Fig9bPackets(opts Options) (*Result, error) {
 		return nil, fmt.Errorf("experiments: fig9b produced no results")
 	}
 	return res, nil
-}
-
-// All runs every figure reproduction and returns the results in paper
-// order.
-func All(opts Options) ([]*Result, error) {
-	type fn struct {
-		name string
-		f    func(Options) (*Result, error)
-	}
-	fns := []fn{
-		{"fig5ab", Fig5Sanitization},
-		{"fig5c", Fig5cClusters},
-		{"fig7a", Fig7aOffice},
-		{"fig7b", Fig7bNLoS},
-		{"fig7c", Fig7cCorridor},
-		{"fig8a", Fig8aAoA},
-		{"fig8b", Fig8bSelection},
-		{"fig9a", Fig9aDensity},
-		{"fig9b", Fig9bPackets},
-	}
-	var out []*Result
-	for _, f := range fns {
-		r, err := f.f(opts)
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", f.name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

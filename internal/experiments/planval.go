@@ -18,7 +18,7 @@ import (
 func PlanValidation(opts Options) (*Result, error) {
 	opts = opts.fill()
 	d := testbed.Office(opts.Seed)
-	loc, err := newLocalizer(d, opts.Seed)
+	loc, err := newLocalizer(d)
 	if err != nil {
 		return nil, err
 	}

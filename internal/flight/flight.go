@@ -158,8 +158,6 @@ type ServerConfig struct {
 	MinAPs int        `json:"min_aps"`
 	// Modes is the degradation-ladder depth (1–3).
 	Modes int `json:"modes"`
-	// Seed is the clustering seed (spotfi.Config.Seed).
-	Seed int64 `json:"seed"`
 }
 
 // Config parameterizes a Recorder. Zero values take the defaults noted on

@@ -1,9 +1,11 @@
 package flight
 
 import (
+	"encoding/json"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -259,13 +261,33 @@ func TestBundleFramesAreSFT1(t *testing.T) {
 // TestRetiredTriggerBundleLoads: a bundle dumped under a trigger kind the
 // recorder no longer registers ("shed-floor", retired because nothing
 // fired it) loads and lists with its kind intact, and dumping it touches
-// no registered counter.
+// no registered counter. Its manifest also carries the retired server
+// "seed" field, which older builds wrote and loading ignores.
 func TestRetiredTriggerBundleLoads(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := newTestRecorder(t, func(c *Config) { c.Registry = reg })
+	r := newTestRecorder(t, func(c *Config) {
+		c.Registry = reg
+		c.Server = ServerConfig{Batch: 10, MinAPs: 3, Modes: 3}
+	})
 	r.TapPacket(testPacket(0, 1))
 	name, err := r.DumpNow(TriggerKind("shed-floor"), "written before the kind was retired")
 	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(r.BundlePath(name), ManifestFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	man["server"].(map[string]any)["seed"] = 1
+	if raw, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	b, err := LoadBundle(r.BundlePath(name))
@@ -274,6 +296,9 @@ func TestRetiredTriggerBundleLoads(t *testing.T) {
 	}
 	if b.Manifest.Trigger != "shed-floor" || len(b.Packets) != 1 {
 		t.Fatalf("loaded trigger %q with %d packets, want shed-floor with 1", b.Manifest.Trigger, len(b.Packets))
+	}
+	if sc := b.Manifest.Server; sc.Batch != 10 || sc.MinAPs != 3 || sc.Modes != 3 {
+		t.Fatalf("loaded server config %+v, want batch 10, min APs 3, 3 modes", sc)
 	}
 	if list := ListBundles(r.cfg.Dir); len(list) != 1 || list[0].Trigger != "shed-floor" {
 		t.Fatalf("ListBundles = %+v, want the one shed-floor bundle", list)

@@ -123,7 +123,6 @@ func Run(b *flight.Bundle, opts Options) (*Result, error) {
 	base := spotfi.DefaultConfig(spotfi.Bounds{
 		MinX: sc.Bounds[0], MinY: sc.Bounds[1], MaxX: sc.Bounds[2], MaxY: sc.Bounds[3],
 	})
-	base.Seed = sc.Seed
 	// One worker: estimation results don't depend on parallelism (the
 	// per-AP seeds are scheduling-free), but span append order does, and
 	// replay promises deterministic traces.

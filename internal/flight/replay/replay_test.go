@@ -45,7 +45,6 @@ func runProduction(t *testing.T) (*flight.Bundle, []spotfi.Location) {
 			Batch:  batch,
 			MinAPs: minAPs,
 			Modes:  3,
-			Seed:   base.Seed,
 		},
 	})
 	if err != nil {

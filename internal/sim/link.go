@@ -153,15 +153,6 @@ func (l *Link) DirectPath() (Path, bool) {
 	return Path{}, false
 }
 
-// StrongestPath returns the highest-gain path; ok is false for an empty
-// link.
-func (l *Link) StrongestPath() (Path, bool) {
-	if len(l.Paths) == 0 {
-		return Path{}, false
-	}
-	return l.Paths[0], true
-}
-
 // HasStrongDirect reports whether the link's direct path exists and is
 // within marginDB of the strongest path — the paper's working definition of
 // a LoS link for evaluation purposes (Sec. 4.4.1).

@@ -326,7 +326,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 			Batch:  cfg.Collector.BatchSize,
 			MinAPs: cfg.Collector.MinAPs,
 			Modes:  len(s.rungs),
-			Seed:   base.Seed,
 		}
 		fc.Registry, fc.MetricsSnapshot, fc.Logger = s.reg, s.reg.Snapshot, s.logger
 		fc.Traces = func() (recent, slow []trace.TraceData) { return s.tracer.Recent(), s.tracer.Slow() }

@@ -22,15 +22,17 @@
 package spotfi
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"spotfi/internal/calib"
 	"spotfi/internal/csi"
 	"spotfi/internal/dpath"
+	"spotfi/internal/flight"
 	"spotfi/internal/geom"
 	"spotfi/internal/locate"
 	"spotfi/internal/music"
@@ -116,8 +118,6 @@ type Config struct {
 	Sanitize bool
 	// Workers bounds pipeline parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Seed makes clustering deterministic.
-	Seed int64
 	// Calibration holds per-AP antenna phase corrections (from
 	// calib.Estimate against a known-position beacon), applied to every
 	// packet before estimation. APs without an entry are used as-is.
@@ -233,7 +233,6 @@ func DefaultConfig(b Bounds) Config {
 		Locate:    locate.DefaultConfig(b),
 		Selection: SelectLikelihood,
 		Sanitize:  true,
-		Seed:      1,
 	}
 	// The paper clusters into 5 groups ("at best five significant paths");
 	// indoor environments with 6–8 resolvable paths benefit from a couple
@@ -256,7 +255,8 @@ type APReport struct {
 	MeanRSSIdBm float64
 	// Candidates are all clustered hypotheses, sorted by likelihood.
 	Candidates []Candidate
-	// PerPacket holds the raw super-resolution estimates per packet.
+	// PerPacket holds the raw super-resolution estimates per packet, in
+	// the burst's canonical order (see ProcessBurst).
 	PerPacket [][]PathEstimate
 	// Packets is how many packets contributed.
 	Packets int
@@ -351,12 +351,13 @@ func New(cfg Config, aps []AP) (*Localizer, error) {
 	return l, nil
 }
 
-// APs returns the registered access points.
+// APs returns the registered access points, sorted by ID.
 func (l *Localizer) APs() []AP {
 	out := make([]AP, 0, len(l.aps))
 	for _, ap := range l.aps {
 		out = append(out, ap)
 	}
+	slices.SortFunc(out, func(a, b AP) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -375,7 +376,9 @@ func (l *Localizer) estimateMUSIC(work *CSIMatrix) ([]PathEstimate, music.Diag, 
 
 // ProcessBurst runs stages 1–2 on a burst of packets received by one AP
 // from one target: sanitization, per-packet super-resolution (in
-// parallel), clustering, and direct-path selection.
+// parallel), clustering, and direct-path selection. The report is a
+// function of the packet set: the burst is processed in Seq order, ties
+// broken by flight.PacketHash, whatever order the packets arrived in.
 func (l *Localizer) ProcessBurst(apID int, pkts []*Packet) (*APReport, error) {
 	return l.ProcessBurstTraced(apID, pkts, nil)
 }
@@ -397,6 +400,7 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 	if len(pkts) == 0 {
 		return nil, fmt.Errorf("spotfi: empty burst for AP %d", apID)
 	}
+	pkts = canonicalOrder(pkts)
 	apSpan := parent.StartSpan(trace.StageAP)
 	defer apSpan.End()
 	apSpan.SetInt("ap", int64(apID))
@@ -431,6 +435,20 @@ func (l *Localizer) ProcessBurstTraced(apID int, pkts []*Packet, parent *trace.S
 	}
 	l.cfg.Metrics.BurstsProcessed.Inc()
 	return rep, nil
+}
+
+// canonicalOrder returns a copy of pkts sorted by Seq, ties broken by
+// content hash, so the per-packet estimates clustering reads and the
+// burst's RSSI, STO and eigen-gap sums see one order.
+func canonicalOrder(pkts []*Packet) []*Packet {
+	out := slices.Clone(pkts)
+	slices.SortFunc(out, func(a, b *Packet) int {
+		if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+			return c
+		}
+		return cmp.Compare(flight.PacketHash(a), flight.PacketHash(b))
+	})
+	return out
 }
 
 // Estimator labels stamped on the AP and estimate spans.
@@ -559,17 +577,14 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 		return nil, failed, fmt.Errorf("spotfi: every packet in the burst failed estimation: %v", firstError(errs))
 	}
 
-	// Clustering seed derived from the burst identity, not from a shared
-	// RNG: concurrent ProcessBurst calls would otherwise consume the
-	// generator in scheduler order and make results run-dependent. A
-	// reseeded pooled generator draws exactly what a fresh one would,
-	// without allocating a 4.9 KB source per AP burst.
-	seed := int64(uint64(l.cfg.Seed)^uint64(apID+1)*0x9E3779B97F4A7C15^(pkts[0].Seq+1)*0xBF58476D1CE4E5B9^uint64(len(pkts))) & 0x7FFFFFFFFFFFFFFF
+	// The k-means++ seed is the burst's identity (AP, first Seq, length)
+	// over the canonically ordered burst, so concurrent bursts draw
+	// independently and a report depends on its packet set alone. The
+	// leading 1 keeps the draws of earlier builds, so committed baselines
+	// and recorded flight bundles still reproduce bit for bit.
+	seed := int64((1 ^ uint64(apID+1)*0x9E3779B97F4A7C15 ^ (pkts[0].Seq+1)*0xBF58476D1CE4E5B9 ^ uint64(len(pkts))) & 0x7FFFFFFFFFFFFFFF)
 	csp := apSpan.StartSpan(trace.StageCluster)
-	rng := clusterRNGs.Get().(*rand.Rand)
-	rng.Seed(seed)
-	res, err := dpath.Identify(perPacket, l.cfg.DPath, rng)
-	clusterRNGs.Put(rng)
+	res, err := dpath.Identify(perPacket, l.cfg.DPath, seed)
 	if err != nil {
 		csp.End()
 		return nil, failed, err
@@ -620,10 +635,6 @@ func (l *Localizer) estimateAndCluster(apID int, pkts []*Packet, works []*CSIMat
 		STOJitterNs: stoStd,
 	}, failed, nil
 }
-
-// clusterRNGs pools the clustering generators estimateAndCluster reseeds
-// per AP burst.
-var clusterRNGs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
 
 // meanStd returns the mean and population standard deviation of the finite
 // entries of xs (NaN, NaN when none are finite — e.g. sanitize disabled).

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"spotfi/internal/csi"
@@ -30,7 +31,10 @@ func burstFuzzBytes(m *csi.Matrix) []byte {
 // matrix times scale, with subcarrier s turned by k·ramp·s radians. A
 // burst with a non-finite entry is skipped. Every other burst must be
 // rejected with an error or yield a report whose AoA, likelihood and
-// eigen gap are finite; a panic fails. The seeds cover each adversarial
+// eigen gap are finite; a panic fails. The burst also runs reversed, and
+// both orders run again with the last packet's Seq set to the first's:
+// each pair must give the same error text or bit-identical reports
+// (sameReport). The seeds cover each adversarial
 // shape: rank-1 (one noiseless path), identical packets, near zero
 // (×1e-160, the covariance underflows), huge (×1e150), extreme STO ramps,
 // and a single packet.
@@ -88,7 +92,20 @@ func FuzzProcessBurst(f *testing.F) {
 			}
 			burst[k] = &Packet{APID: 0, Seq: uint64(k), RSSIdBm: -55, CSI: m}
 		}
-		rep, err := loc.ProcessBurst(0, burst)
+		bothOrders := func(tie bool) (*APReport, error) {
+			rep, err := loc.ProcessBurst(0, burst)
+			back := slices.Clone(burst)
+			slices.Reverse(back)
+			rev, rerr := loc.ProcessBurst(0, back)
+			if !sameReport(rep, err, rev, rerr) {
+				t.Fatalf("%d-packet burst (Seq tie %v): reversed order gives %+v, %v; given order %+v, %v",
+					len(burst), tie, rev, rerr, rep, err)
+			}
+			return rep, err
+		}
+		rep, err := bothOrders(false)
+		burst[len(burst)-1].Seq = burst[0].Seq
+		bothOrders(true)
 		if err != nil {
 			return
 		}
@@ -98,4 +115,24 @@ func FuzzProcessBurst(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameReport reports whether two ProcessBurst outcomes match: the same
+// error text, or reports with bit-identical AoA, Likelihood, Margin,
+// EigenGapDB and Candidates.
+func sameReport(a *APReport, aerr error, b *APReport, berr error) bool {
+	if aerr != nil || berr != nil {
+		return aerr != nil && berr != nil && aerr.Error() == berr.Error()
+	}
+	bits := func(r *APReport) []uint64 {
+		out := []uint64{math.Float64bits(r.AoA), math.Float64bits(r.Likelihood),
+			math.Float64bits(r.Margin), math.Float64bits(r.EigenGapDB)}
+		for _, c := range r.Candidates {
+			out = append(out, math.Float64bits(c.AoA), math.Float64bits(c.ToF), math.Float64bits(c.Likelihood),
+				uint64(c.Count), math.Float64bits(c.AoAVar), math.Float64bits(c.ToFVar),
+				math.Float64bits(c.NormToF), math.Float64bits(c.MaxPower))
+		}
+		return out
+	}
+	return slices.Equal(bits(a), bits(b))
 }

@@ -1,8 +1,10 @@
 package spotfi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spotfi/internal/csi"
@@ -31,12 +33,10 @@ func TestAPsAccessor(t *testing.T) {
 	if len(aps) != 6 {
 		t.Fatalf("APs() returned %d", len(aps))
 	}
-	seen := map[int]bool{}
-	for _, ap := range aps {
-		if seen[ap.ID] {
-			t.Fatalf("duplicate AP %d", ap.ID)
+	for i := 1; i < len(aps); i++ {
+		if aps[i-1].ID >= aps[i].ID {
+			t.Fatalf("APs() not sorted by ID: %d before %d", aps[i-1].ID, aps[i].ID)
 		}
-		seen[ap.ID] = true
 	}
 }
 
@@ -226,6 +226,64 @@ func TestLocalizerDeterministic(t *testing.T) {
 	}
 	if p1 != p2 {
 		t.Fatalf("same input, different estimates: %v vs %v", p1, p2)
+	}
+}
+
+// TestFixIndependentOfPacketOrder holds each fix to its packet set on
+// seeded office, high-NLoS and corridor scenes at 10 packets per AP.
+// Shuffling the packets inside every AP burst must leave X, Y and
+// Confidence bit-identical. So must swapping two packets that share a Seq
+// but not their CSI: every burst gets an 11th packet carrying packet j's
+// Seq, placed once after packet j and once before it.
+func TestFixIndependentOfPacketOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline run")
+	}
+	const packets, targets = 10, 8
+	rng := rand.New(rand.NewSource(26))
+	for _, d := range []*testbed.Deployment{testbed.Office(1), testbed.HighNLoS(1), testbed.Corridor(1)} {
+		loc, err := New(DefaultConfig(d.Bounds), deploymentAPs(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// %v prints the shortest decimal that parses back to the same
+		// float64, so equal strings mean bit-identical finite fixes.
+		fix := func(bursts map[int][]*csi.Packet) string {
+			p, _, _, err := loc.LocalizeBursts(bursts)
+			if err != nil {
+				return err.Error()
+			}
+			return fmt.Sprintf("x=%v y=%v confidence=%v", p.X, p.Y, p.Confidence)
+		}
+		for tgt := 0; tgt < targets && tgt < len(d.Targets); tgt++ {
+			j := tgt % packets
+			inOrder := map[int][]*csi.Packet{}
+			shuffled := map[int][]*csi.Packet{}
+			tieAfter := map[int][]*csi.Packet{}
+			tieBefore := map[int][]*csi.Packet{}
+			for a := range d.APs {
+				b, err := d.Burst(a, tgt, packets+1)
+				if err != nil {
+					continue
+				}
+				// base's capacity is capped, so Insert below copies it.
+				base, extra := b[:packets:packets], b[packets]
+				extra.Seq = base[j].Seq
+				inOrder[a] = base
+				mixed := slices.Clone(base)
+				rng.Shuffle(packets, func(x, y int) { mixed[x], mixed[y] = mixed[y], mixed[x] })
+				shuffled[a] = mixed
+				tieAfter[a] = slices.Insert(base, j+1, extra)
+				tieBefore[a] = slices.Insert(base, j, extra)
+			}
+			if want, got := fix(inOrder), fix(shuffled); got != want {
+				t.Errorf("%s target %d: shuffled packets give %s, in order %s", d.Name, tgt, got, want)
+			}
+			if want, got := fix(tieAfter), fix(tieBefore); got != want {
+				t.Errorf("%s target %d: packets sharing Seq %d give %s in one order, %s in the other",
+					d.Name, tgt, j, got, want)
+			}
+		}
 	}
 }
 
